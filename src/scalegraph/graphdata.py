@@ -222,13 +222,24 @@ def _read_splits(path, n):
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(payload, dict) or "splits" not in payload:
-        raise DataError(f"{path}: expected an object with a 'splits' key")
+    if not isinstance(payload, dict) or not isinstance(payload.get("splits"), list):
+        raise DataError(f"{path}: expected an object with a 'splits' list")
     out = []
     for i, entry in enumerate(payload["splits"]):
+        if not isinstance(entry, dict):
+            raise DataError(f"{path}: split {i} must be an object, got {type(entry).__name__}")
         missing = {"train", "val", "test"} - set(entry)
         if missing:
             raise DataError(f"{path}: split {i} missing keys {sorted(missing)}")
+        for key in ("train", "val", "test"):
+            if not isinstance(entry[key], list):
+                raise DataError(f"{path}: split {i} {key!r}: expected a list of node indices, "
+                                f"got {type(entry[key]).__name__}")
+            for v in entry[key]:
+                # JSON true/false load as bool, which is an int subclass
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise DataError(f"{path}: split {i} {key!r}: node index {v!r} "
+                                    "is not an integer")
         out.append((entry["train"], entry["val"], entry["test"]))
     return SplitSet(out).validate(n)
 

@@ -85,7 +85,7 @@ def train(model, graph: DirectedGraph, split, train_cfg: TrainConfig | None = No
     params = model.params()
     best_val = -1.0
     best_test = 0.0
-    best_snap = model.snapshot()
+    best_snap = None  # epoch 1 always sets it: val_acc >= 0 > best_val
     history = []
     es_wait = 0
     lr_wait = 0

@@ -1,20 +1,27 @@
 """Direction-aware GNN model zoo over precomputed scaled adjacency matrices.
 
-The central layer blends a pair of opposite-direction matrices (M, N) through
-one directional parameter:
+Every family stacks one layer type. A layer takes a list of channels; each
+channel is a tuple of (normalized matrix S, coefficient c) terms with its own
+weight W and computes sum_k c_k * S_k (X W). The empty channel is the
+identity, which makes the feature-only MLP. The channel outputs are fused,
+then a bias and the optional batchnorm / relu / dropout follow.
+
+ScaleNet builds its channels from pairs of opposite-direction matrices (M, N)
+blended through one directional parameter:
 
     out = (1 + a) * a * AGG(M, X) + (1 + a) * (1 - a) * AGG(N, X)
 
 so a = -1 excludes the pair, a = 0 keeps only the N side, a = 0.5 balances
 both at 0.75 each, and a = 1 keeps only the M side with coefficient 2.
 The special values a = 2 and a = 3 aggregate over the union respectively the
-intersection of the two supports instead. Three such blocks (first-scale pair,
+intersection of the two supports instead. Three such pairs (first-scale pair,
 meeting pair, two-hop pair) feed an intra-layer fusion, and stacked layers feed
 a cross-layer fusion (jumping-knowledge max/concat or plain addition/last).
 """
 
 import json
 from dataclasses import asdict, dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -109,6 +116,41 @@ def direction_coefficients(alpha: float):
     return (1.0 + alpha) * alpha, (1.0 + alpha) * (1.0 - alpha)
 
 
+def pair_channel(param, m: SparseMatrix, n: SparseMatrix, prep):
+    """Terms of the direction pair (m, n), each matrix passed through ``prep``.
+
+    param = 2 gives the support union, param = 3 the intersection, and any
+    other value the coefficient law with zero-coefficient sides dropped.
+    Callers exclude param = -1, whose terms would all be dropped.
+    """
+    if param == 2.0:
+        return ((prep(pattern_union(m, n)), 1.0),)
+    if param == 3.0:
+        return ((prep(pattern_intersection(m, n)), 1.0),)
+    return tuple((prep(mat), c) for mat, c in zip((m, n), direction_coefficients(param))
+                 if c != 0.0)
+
+
+def propagate(channel, h: Tensor) -> Tensor:
+    """Sum of c * S h over the channel's terms; the empty channel is the identity.
+
+    A coefficient of 1.0 skips ``scale``, which would multiply by 1 exactly.
+    """
+    if not channel:
+        return h
+    return fuse([spmm(s, h) if c == 1.0 else scale(spmm(s, h), c) for s, c in channel], "add")
+
+
+def fuse(outs, mode, proj=None):
+    """Fuse branch outputs: ``add``, ``jk_max``, ``jk_cat`` (then ``proj`` if given) or ``last``."""
+    if mode == "last":
+        return outs[-1]
+    if mode == "jk_cat":
+        cat = concat_cols(outs)
+        return cat if proj is None else matmul(cat, proj)
+    return reduce(maximum if mode == "jk_max" else add, outs)
+
+
 def agg_b(alpha: float, m: SparseMatrix, n: SparseMatrix, x: Tensor, weight: Tensor) -> Tensor:
     """Bidirectional aggregation of the matrix pair (m, n) with shared weight.
 
@@ -119,34 +161,47 @@ def agg_b(alpha: float, m: SparseMatrix, n: SparseMatrix, x: Tensor, weight: Ten
         raise ValueError(f"alpha must be one of {DIRECTION_VALUES}, got {alpha}")
     if alpha == -1:
         return Tensor(np.zeros((m.n_rows, weight.data.shape[1])))
-    h = matmul(x, weight)
-    if alpha == 2:
-        return spmm(pattern_union(m, n), h)
-    if alpha == 3:
-        return spmm(pattern_intersection(m, n), h)
-    c_m, c_n = direction_coefficients(alpha)
-    if c_m == 0.0:
-        return scale(spmm(n, h), c_n)
-    if c_n == 0.0:
-        return scale(spmm(m, h), c_m)
-    return add(scale(spmm(m, h), c_m), scale(spmm(n, h), c_n))
+    return propagate(pair_channel(alpha, m, n, lambda s: s), matmul(x, weight))
+
+
+def prepare_direction_blocks(adj: SparseMatrix, cfg: ModelConfig):
+    """Normalized channels of the non-excluded direction pairs, precomputed once per run."""
+    family = model_matrix_family(adj, cfg.selfloop_mode, cfg.second_scale_selfloops)
+    blocks = [pair_channel(param, family[wm], family[wn], sym_normalize)
+              for param, (wm, wn) in ((cfg.alpha, ("A", "T")), (cfg.beta, ("AT", "TA")),
+                                      (cfg.gamma, ("AA", "TT")))
+              if param != -1.0]
+    if not blocks:
+        raise ValueError("all direction blocks are excluded")
+    return blocks
 
 
 # -- layers ---------------------------------------------------------------------
 
 
-class _PostOps:
-    """Optional batchnorm / relu / dropout shared by every layer type."""
+class Layer:
+    """Channels with their own weights, a fusion, a bias and optional BN / ReLU / dropout."""
 
-    def __init__(self, cfg, width):
+    def __init__(self, cfg, channels, fusion, in_dim, rng):
         self.cfg = cfg
+        self.channels = list(channels)
+        self.fusion = fusion
+        self.weights = [Tensor(glorot_uniform(in_dim, cfg.hidden, rng), requires_grad=True)
+                        for _ in self.channels]
+        self.proj = None
+        if fusion == "jk_cat":
+            self.proj = Tensor(glorot_uniform(len(self.channels) * cfg.hidden, cfg.hidden, rng),
+                               requires_grad=True)
+        self.bias = Tensor(np.zeros((1, cfg.hidden)), requires_grad=True)
         self.bn_gamma = self.bn_beta = self.bn_state = None
         if cfg.use_bn:
-            self.bn_gamma = Tensor(np.ones((1, width)), requires_grad=True)
-            self.bn_beta = Tensor(np.zeros((1, width)), requires_grad=True)
-            self.bn_state = BatchNormState.for_width(width)
+            self.bn_gamma = Tensor(np.ones((1, cfg.hidden)), requires_grad=True)
+            self.bn_beta = Tensor(np.zeros((1, cfg.hidden)), requires_grad=True)
+            self.bn_state = BatchNormState.for_width(cfg.hidden)
 
-    def apply(self, h, training, rng):
+    def __call__(self, x, training, rng):
+        outs = [propagate(channel, matmul(x, w)) for channel, w in zip(self.channels, self.weights)]
+        h = add_bias(fuse(outs, self.fusion, self.proj), self.bias)
         if self.cfg.use_bn:
             h = batchnorm(h, self.bn_gamma, self.bn_beta, self.bn_state, training)
         if self.cfg.use_relu:
@@ -158,151 +213,11 @@ class _PostOps:
         return h
 
     def params(self):
-        return [p for p in (self.bn_gamma, self.bn_beta) if p is not None]
+        return [p for p in (*self.weights, self.proj, self.bias, self.bn_gamma, self.bn_beta)
+                if p is not None]
 
     def states(self):
         return [self.bn_state] if self.bn_state is not None else []
-
-
-class AggBlock:
-    """One bidirectional pair block with its shared linear map."""
-
-    def __init__(self, param, pair_or_single, in_dim, out_dim, rng):
-        self.param = float(param)
-        self.mats = pair_or_single  # (M, N) for coefficient mode, (S,) for union/intersection
-        self.weight = Tensor(glorot_uniform(in_dim, out_dim, rng), requires_grad=True)
-
-    def __call__(self, x):
-        h = matmul(x, self.weight)
-        if len(self.mats) == 1:
-            return spmm(self.mats[0], h)
-        c_m, c_n = direction_coefficients(self.param)
-        m, n = self.mats
-        if c_m == 0.0:
-            return scale(spmm(n, h), c_n)
-        if c_n == 0.0:
-            return scale(spmm(m, h), c_m)
-        return add(scale(spmm(m, h), c_m), scale(spmm(n, h), c_n))
-
-
-def prepare_direction_blocks(adj: SparseMatrix, cfg: ModelConfig):
-    """Normalized matrices for the three pair blocks, precomputed once per run."""
-    family = model_matrix_family(adj, cfg.selfloop_mode, cfg.second_scale_selfloops)
-    blocks = []
-    for param, (wm, wn) in ((cfg.alpha, ("A", "T")), (cfg.beta, ("AT", "TA")),
-                            (cfg.gamma, ("AA", "TT"))):
-        if param == -1.0:
-            continue
-        if param == 2.0:
-            mats = (sym_normalize(pattern_union(family[wm], family[wn])),)
-        elif param == 3.0:
-            mats = (sym_normalize(pattern_intersection(family[wm], family[wn])),)
-        else:
-            mats = (sym_normalize(family[wm]), sym_normalize(family[wn]))
-        blocks.append((param, mats))
-    if not blocks:
-        raise ValueError("all direction blocks are excluded")
-    return blocks
-
-
-class ScaleNetLayer:
-    def __init__(self, cfg, block_mats, in_dim, rng):
-        self.cfg = cfg
-        self.blocks = [AggBlock(param, mats, in_dim, cfg.hidden, rng)
-                       for param, mats in block_mats]
-        self.proj = None
-        if cfg.comb1 == "jk_cat":
-            self.proj = Tensor(glorot_uniform(len(self.blocks) * cfg.hidden, cfg.hidden, rng),
-                               requires_grad=True)
-        self.bias = Tensor(np.zeros((1, cfg.hidden)), requires_grad=True)
-        self.post = _PostOps(cfg, cfg.hidden)
-
-    def __call__(self, x, training, rng):
-        outs = [block(x) for block in self.blocks]
-        if self.cfg.comb1 == "jk_cat":
-            fused = matmul(concat_cols(outs), self.proj)
-        elif self.cfg.comb1 == "jk_max":
-            fused = outs[0]
-            for out in outs[1:]:
-                fused = maximum(fused, out)
-        else:
-            fused = outs[0]
-            for out in outs[1:]:
-                fused = add(fused, out)
-        return self.post.apply(add_bias(fused, self.bias), training, rng)
-
-    def params(self):
-        out = [b.weight for b in self.blocks]
-        if self.proj is not None:
-            out.append(self.proj)
-        out.append(self.bias)
-        return out + self.post.params()
-
-    def states(self):
-        return self.post.states()
-
-
-class ChannelLayer:
-    """Parallel single-matrix channels, each with its own linear map.
-
-    Channels fuse by (optionally coefficient-weighted) addition or by column
-    concatenation followed by a projection back to the layer width.
-    """
-
-    def __init__(self, cfg, mats, in_dim, rng, coefs=None, fuse="sum"):
-        self.cfg = cfg
-        self.mats = list(mats)
-        self.coefs = list(coefs) if coefs is not None else [1.0] * len(self.mats)
-        self.fuse = fuse
-        self.weights = [Tensor(glorot_uniform(in_dim, cfg.hidden, rng), requires_grad=True)
-                        for _ in self.mats]
-        self.proj = None
-        if fuse == "cat":
-            self.proj = Tensor(glorot_uniform(len(self.mats) * cfg.hidden, cfg.hidden, rng),
-                               requires_grad=True)
-        self.bias = Tensor(np.zeros((1, cfg.hidden)), requires_grad=True)
-        self.post = _PostOps(cfg, cfg.hidden)
-
-    def __call__(self, x, training, rng):
-        outs = []
-        for mat, w, c in zip(self.mats, self.weights, self.coefs):
-            term = spmm(mat, matmul(x, w))
-            outs.append(scale(term, c) if c != 1.0 else term)
-        if self.fuse == "cat":
-            fused = matmul(concat_cols(outs), self.proj)
-        else:
-            fused = outs[0]
-            for out in outs[1:]:
-                fused = add(fused, out)
-        return self.post.apply(add_bias(fused, self.bias), training, rng)
-
-    def params(self):
-        out = list(self.weights)
-        if self.proj is not None:
-            out.append(self.proj)
-        out.append(self.bias)
-        return out + self.post.params()
-
-    def states(self):
-        return self.post.states()
-
-
-class DenseLayer:
-    """Feature-only linear layer (the adjacency-blind baseline)."""
-
-    def __init__(self, cfg, in_dim, rng):
-        self.weight = Tensor(glorot_uniform(in_dim, cfg.hidden, rng), requires_grad=True)
-        self.bias = Tensor(np.zeros((1, cfg.hidden)), requires_grad=True)
-        self.post = _PostOps(cfg, cfg.hidden)
-
-    def __call__(self, x, training, rng):
-        return self.post.apply(add_bias(matmul(x, self.weight), self.bias), training, rng)
-
-    def params(self):
-        return [self.weight, self.bias] + self.post.params()
-
-    def states(self):
-        return self.post.states()
 
 
 class Model:
@@ -321,15 +236,7 @@ class Model:
         for layer in self.layers:
             x = layer(x, training, rng)
             outs.append(x)
-        if self.config.comb2 == "jk_cat":
-            fused = concat_cols(outs)
-        elif self.config.comb2 == "jk_max":
-            fused = outs[0]
-            for out in outs[1:]:
-                fused = maximum(fused, out)
-        else:
-            fused = outs[-1]
-        return add_bias(matmul(fused, self.head_weight), self.head_bias)
+        return add_bias(matmul(fuse(outs, self.config.comb2), self.head_weight), self.head_bias)
 
     def params(self):
         out = []
@@ -360,69 +267,70 @@ class Model:
 # -- family wiring -----------------------------------------------------------------
 
 
-def _norm(pat, selfloop_mode="keep"):
-    return sym_normalize(pat, selfloop_mode)
+def _stack(cfg: ModelConfig, graph: DirectedGraph, channels, fusion, seed) -> Model:
+    """``cfg.layers`` layers over the same channels; weights are drawn layer by layer, then the
+    head's."""
+    rng = np.random.default_rng(seed)
+    layers = [Layer(cfg, channels, fusion, graph.d if i == 0 else cfg.hidden, rng)
+              for i in range(cfg.layers)]
+    return Model(cfg, layers, graph.n_classes, rng)
 
 
 def build_matrix_channel_model(cfg: ModelConfig, graph: DirectedGraph, matrices,
-                               seed=0, coefs=None, fuse="sum") -> Model:
-    """Model over explicit (already normalized) channel matrices."""
-    rng = np.random.default_rng(seed)
-    layers = []
-    in_dim = graph.d
-    for _ in range(cfg.layers):
-        layers.append(ChannelLayer(cfg, matrices, in_dim, rng, coefs=coefs, fuse=fuse))
-        in_dim = cfg.hidden
-    return Model(cfg, layers, graph.n_classes, rng)
+                               seed=0) -> Model:
+    """Model over explicit (already normalized) matrices, one added channel each."""
+    return _stack(cfg, graph, [((m, 1.0),) for m in matrices], "add", seed)
+
+
+def _scaled(adj, cfg):
+    return model_matrix_family(adj, cfg.selfloop_mode, cfg.second_scale_selfloops)
+
+
+def _normalized(patterns, coef=1.0):
+    return [((sym_normalize(p), coef),) for p in patterns]
+
+
+def _inception(*proximity):
+    """Channels A and T, then one per pruned proximity matrix (hops, mode)."""
+    def channels(adj, cfg):
+        fam = _scaled(adj, cfg)
+        return _normalized([fam["A"], fam["T"]]
+                           + [proximity_matrix(adj, k, mode, True) for k, mode in proximity])
+    return channels
+
+
+def _one_ym(adj, cfg):
+    fam = _scaled(adj, cfg)
+    return _normalized([pattern_union(fam["A"], fam["T"]), fam["AT"], fam["TA"]])
+
+
+def _gcn(adj, cfg):
+    return _normalized([add_self_loops(pattern_union(adj, transpose(adj)))])
+
+
+def _dirgnn_lite(adj, cfg):
+    fam = _scaled(adj, cfg)
+    return _normalized([fam["A"], fam["T"]], coef=0.5)
+
+
+# family -> (channels of every layer from (adjacency pattern, config), intra-layer
+# fusion); scalenet's fusion is the configured comb1
+_WIRING = {
+    "scalenet": (prepare_direction_blocks, None),
+    "mlp": (lambda adj, cfg: [()], "add"),
+    "one_ig": (_inception(), "add"),
+    "one_igi2": (_inception((2, "intersect")), "add"),
+    "one_igu2": (_inception((2, "union")), "add"),
+    "one_igu3": (_inception((2, "union"), (3, "union")), "add"),
+    "one_ym": (_one_ym, "jk_cat"),
+    "gcn": (_gcn, "add"),
+    "dirgnn_lite": (_dirgnn_lite, "add"),
+}
 
 
 def build_model(cfg: ModelConfig, graph: DirectedGraph, seed=0) -> Model:
     """Wire a model family over the graph's scaled adjacency matrices."""
-    rng = np.random.default_rng(seed)
-    adj = graph.adjacency.pattern()
-    first = lambda: model_matrix_family(adj, cfg.selfloop_mode, cfg.second_scale_selfloops)
-
-    if cfg.family == "scalenet":
-        blocks = prepare_direction_blocks(adj, cfg)
-        layers = []
-        in_dim = graph.d
-        for _ in range(cfg.layers):
-            layers.append(ScaleNetLayer(cfg, blocks, in_dim, rng))
-            in_dim = cfg.hidden
-        return Model(cfg, layers, graph.n_classes, rng)
-
-    if cfg.family == "mlp":
-        layers = []
-        in_dim = graph.d
-        for _ in range(cfg.layers):
-            layers.append(DenseLayer(cfg, in_dim, rng))
-            in_dim = cfg.hidden
-        return Model(cfg, layers, graph.n_classes, rng)
-
-    if cfg.family in ("one_ig", "one_igi2", "one_igu2", "one_igu3"):
-        fam = first()
-        mats = [_norm(fam["A"]), _norm(fam["T"])]
-        if cfg.family == "one_igi2":
-            mats.append(_norm(proximity_matrix(adj, 2, "intersect", True)))
-        elif cfg.family == "one_igu2":
-            mats.append(_norm(proximity_matrix(adj, 2, "union", True)))
-        elif cfg.family == "one_igu3":
-            mats.append(_norm(proximity_matrix(adj, 2, "union", True)))
-            mats.append(_norm(proximity_matrix(adj, 3, "union", True)))
-        return build_matrix_channel_model(cfg, graph, mats, seed=seed)
-
-    if cfg.family == "one_ym":
-        fam = first()
-        mats = [_norm(pattern_union(fam["A"], fam["T"])), _norm(fam["AT"]), _norm(fam["TA"])]
-        return build_matrix_channel_model(cfg, graph, mats, seed=seed, fuse="cat")
-
-    if cfg.family == "gcn":
-        sym = _norm(add_self_loops(pattern_union(adj, transpose(adj))))
-        return build_matrix_channel_model(cfg, graph, [sym], seed=seed)
-
-    if cfg.family == "dirgnn_lite":
-        fam = first()
-        mats = [_norm(fam["A"]), _norm(fam["T"])]
-        return build_matrix_channel_model(cfg, graph, mats, seed=seed, coefs=[0.5, 0.5])
-
-    raise ValueError(f"unknown model family {cfg.family!r}")
+    if cfg.family not in _WIRING:
+        raise ValueError(f"unknown model family {cfg.family!r}")
+    channels, fusion = _WIRING[cfg.family]
+    return _stack(cfg, graph, channels(graph.adjacency.pattern(), cfg), fusion or cfg.comb1, seed)

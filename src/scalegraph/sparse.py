@@ -164,7 +164,14 @@ class SparseMatrix:
         return self._dense_cache
 
     def diagonal(self):
-        return np.diag(self.to_dense()) if self.is_square() else None
+        """Main diagonal in O(nnz); None for a non-square matrix."""
+        if not self.is_square():
+            return None
+        out = np.zeros(self.n_rows)
+        rows = np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets))
+        on_diag = rows == self.col_indices
+        out[rows[on_diag]] = self.values[on_diag]
+        return out
 
     def _keys(self):
         rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.row_offsets))

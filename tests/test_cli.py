@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -241,6 +242,20 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     rc, _, err = run(capsys, "stats", "--data-dir", str(tmp_path / "nope"),
                      "--out-dir", str(tmp_path))
     assert rc == 2 and "data error" in err
+
+
+def test_malformed_splits_are_data_errors(tmp_path, capsys):
+    good = {"train": [0, 2, 4, 6], "val": [1, 5], "test": [3]}
+    cases = [({"splits": [5]}, "split 0 must be an object"),
+             ({"splits": [dict(good, train=[0.7])]}, "split 0 'train'"),
+             ({"splits": [good, dict(good, val=["x"])]}, "split 1 'val'"),
+             ({"splits": good}, "'splits' list")]
+    ds = tmp_path / "ds"
+    shutil.copytree(HAND7, ds)
+    for payload, where in cases:
+        (ds / "splits.json").write_text(json.dumps(payload))
+        rc, _, err = run(capsys, "stats", *dataset_args(ds), "--out-dir", str(tmp_path / "out"))
+        assert rc == 2 and "data error" in err and where in err, err
 
 
 def test_bad_config_value_is_usage_error(tmp_path, capsys):

@@ -1,20 +1,27 @@
 import numpy as np
 import pytest
 
-from scalegraph.autodiff import Tensor, finite_diff_check, glorot_uniform, softmax_cross_entropy
+from scalegraph.autodiff import (
+    Tensor,
+    finite_diff_check,
+    glorot_uniform,
+    matmul,
+    softmax_cross_entropy,
+)
 from scalegraph.graphdata import DirectedGraph, generate_dsbm
 from scalegraph.models import (
-    AggBlock,
+    FAMILIES,
     ModelConfig,
     agg_b,
-    build_matrix_channel_model,
     build_model,
     direction_coefficients,
     prepare_direction_blocks,
+    propagate,
 )
-from scalegraph.scales import proximity_matrix
+from scalegraph.scales import model_matrix_family, proximity_matrix
 from scalegraph.sparse import (
     SparseMatrix,
+    add_self_loops,
     pattern_intersection,
     pattern_union,
     sym_normalize,
@@ -102,7 +109,7 @@ def test_agg_b_coefficient_combinations():
 
 
 def test_agg_b_union_and_intersection_modes():
-    from scalegraph.autodiff import matmul, spmm
+    from scalegraph.autodiff import spmm
 
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -125,30 +132,27 @@ def test_agg_b_rejects_unknown_alpha():
 
 def test_single_pair_config_reduces_to_first_scale(small_graph):
     cfg = ModelConfig(alpha=0.5, beta=-1, gamma=-1, layers=1, hidden=8)
-    model = build_model(cfg, small_graph, seed=0)
-    assert len(model.layers[0].blocks) == 1
-    assert len(model.layers[0].blocks[0].mats) == 2
+    channels = build_model(cfg, small_graph, seed=0).layers[0].channels
+    assert len(channels) == 1 and len(channels[0]) == 2
 
 
 def test_all_pairs_config_uses_six_matrices(small_graph):
-    cfg = ModelConfig(alpha=1, beta=1, gamma=1, layers=1, hidden=8)
-    model = build_model(cfg, small_graph, seed=0)
-    mats = [m for block in model.layers[0].blocks for m in block.mats]
-    assert len(model.layers[0].blocks) == 3 and len(mats) == 6
+    cfg = ModelConfig(alpha=0.5, beta=0.5, gamma=0.5, layers=1, hidden=8)
+    channels = build_model(cfg, small_graph, seed=0).layers[0].channels
+    assert len(channels) == 3 and sum(len(channel) for channel in channels) == 6
 
 
 def test_add_fusion_of_identical_blocks_triples_output(small_graph):
     cfg = ModelConfig(alpha=0.5, beta=0.5, gamma=0.5, layers=1, hidden=8,
                       comb1="add", use_relu=False)
-    model = build_model(cfg, small_graph, seed=3)
-    layer = model.layers[0]
-    blocks = prepare_direction_blocks(small_graph.adjacency, cfg)
-    shared = AggBlock(0.5, blocks[0][1], small_graph.d, cfg.hidden, np.random.default_rng(9))
-    for b in layer.blocks:
-        b.param, b.mats, b.weight = shared.param, shared.mats, shared.weight
+    layer = build_model(cfg, small_graph, seed=3).layers[0]
+    channel = prepare_direction_blocks(small_graph.adjacency, cfg)[0]
+    weight = Tensor(glorot_uniform(small_graph.d, cfg.hidden, np.random.default_rng(9)),
+                    requires_grad=True)
+    layer.channels, layer.weights = [channel] * 3, [weight] * 3
     x = Tensor(small_graph.features)
     fused = layer(x, training=False, rng=None)
-    single = shared(x)
+    single = propagate(channel, matmul(x, weight))
     assert np.allclose(fused.data, 3.0 * single.data + layer.bias.data, atol=1e-12)
 
 
@@ -193,40 +197,60 @@ def test_one_ig_on_symmetric_graph_feeds_symmetric_supports():
     dense = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=float)
     g = DirectedGraph(SparseMatrix.from_dense(dense), np.eye(3), [0, 1, 1], 2)
     model = build_model(ModelConfig(family="one_ig", layers=1, hidden=4), g, seed=0)
-    mats = model.layers[0].mats
+    mats = [mat for (mat, _), in model.layers[0].channels]
     sym_support = pattern_union(g.adjacency, transpose(g.adjacency))
     assert mats[0].pattern() == sym_support
     assert mats[1].pattern() == sym_support
 
 
-def test_one_igi2_third_channel_is_pruned_intersection(small_graph):
-    model = build_model(ModelConfig(family="one_igi2", layers=1, hidden=4), small_graph, seed=0)
-    expect = proximity_matrix(small_graph.adjacency, 2, "intersect", True)
-    assert model.layers[0].mats[2].pattern() == expect.pattern()
-
-
-def test_one_igu3_has_four_channels(small_graph):
-    model = build_model(ModelConfig(family="one_igu3", layers=1, hidden=4), small_graph, seed=0)
-    assert len(model.layers[0].mats) == 4
-
-
-def test_one_ym_concatenates_three_channels(small_graph):
-    model = build_model(ModelConfig(family="one_ym", layers=1, hidden=4), small_graph, seed=0)
-    layer = model.layers[0]
-    assert len(layer.mats) == 3 and layer.fuse == "cat"
-    assert layer.proj is not None
-
-
-def test_dirgnn_lite_uses_half_coefficients(small_graph):
-    model = build_model(ModelConfig(family="dirgnn_lite", layers=1, hidden=4), small_graph, seed=0)
-    assert model.layers[0].coefs == [0.5, 0.5]
-
-
 def test_gcn_single_symmetric_channel_with_self_loops(small_graph):
     model = build_model(ModelConfig(family="gcn", layers=1, hidden=4), small_graph, seed=0)
-    mats = model.layers[0].mats
-    assert len(mats) == 1
-    assert np.all(np.diag(mats[0].to_dense()) > 0)
+    (channel,) = model.layers[0].channels
+    (mat, coef), = channel
+    assert coef == 1.0 and np.all(mat.diagonal() > 0)
+
+
+def single_channels(mats, coef=1.0):
+    return [((sym_normalize(m), coef),) for m in mats]
+
+
+def expected_wiring(row, adj, fam):
+    """(channels, fusion) of a wiring row, built here without the model module's helpers."""
+    if row == "scalenet":  # alpha=1 drops T, beta=2 / gamma=3 give union / intersection
+        return [((sym_normalize(fam["A"]), 2.0),),
+                ((sym_normalize(pattern_union(fam["AT"], fam["TA"])), 1.0),),
+                ((sym_normalize(pattern_intersection(fam["AA"], fam["TT"])), 1.0),)], "jk_max"
+    if row == "scalenet_pairs":  # alpha=0 drops A, beta=0.5 keeps both, gamma=-1 excluded
+        return [((sym_normalize(fam["T"]), 1.0),),
+                ((sym_normalize(fam["AT"]), 0.75), (sym_normalize(fam["TA"]), 0.75))], "jk_max"
+    if row == "mlp":
+        return [()], "add"
+    if row == "gcn":
+        return single_channels([add_self_loops(pattern_union(adj, transpose(adj)))]), "add"
+    if row == "one_ym":
+        return single_channels([pattern_union(fam["A"], fam["T"]), fam["AT"], fam["TA"]]), "jk_cat"
+    if row == "dirgnn_lite":
+        return single_channels([fam["A"], fam["T"]], coef=0.5), "add"
+    proximity = {"one_ig": [], "one_igi2": [(2, "intersect")], "one_igu2": [(2, "union")],
+                 "one_igu3": [(2, "union"), (3, "union")]}[row]
+    return single_channels([fam["A"], fam["T"]] + [proximity_matrix(adj, k, mode, True)
+                                                    for k, mode in proximity]), "add"
+
+
+@pytest.mark.parametrize("row", FAMILIES + ("scalenet_pairs",))
+def test_family_wiring(small_graph, row):
+    directions = {"scalenet": (1.0, 2.0, 3.0), "scalenet_pairs": (0.0, 0.5, -1.0)}
+    alpha, beta, gamma = directions.get(row, (0.5, -1.0, -1.0))
+    cfg = ModelConfig(family=row.removesuffix("_pairs"), alpha=alpha, beta=beta, gamma=gamma,
+                      layers=2, hidden=4, comb1="jk_max", selfloop_mode="add",
+                      second_scale_selfloops="remove")
+    adj = small_graph.adjacency.pattern()
+    fam = model_matrix_family(adj, "add", "remove")
+    channels, fusion = expected_wiring(row, adj, fam)
+    for layer in build_model(cfg, small_graph, seed=0).layers:
+        assert layer.channels == channels and layer.fusion == fusion
+        assert len(layer.weights) == len(channels)
+        assert (layer.proj is not None) == (fusion == "jk_cat")
 
 
 def test_unknown_family_rejected(small_graph):

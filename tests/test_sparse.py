@@ -43,6 +43,17 @@ def test_from_edges_collapses_duplicates():
     assert np.all(s.values == 1.0)
 
 
+def test_diagonal_matches_dense_oracle():
+    rng = np.random.default_rng(12)
+    weighted_loops = random_weighted(rng, 7, 7, density=0.5)
+    cases = [weighted_loops, random_digraph(rng, 6, 0.4), SparseMatrix.empty(4, 4),
+             add_self_loops(random_digraph(rng, 5, 0.3)), SparseMatrix.empty(0, 0)]
+    assert np.any(weighted_loops.diagonal() != 0.0)
+    for s in cases:
+        assert np.array_equal(s.diagonal(), np.diag(s.to_dense()))
+    assert random_weighted(rng, 3, 5).diagonal() is None
+
+
 def test_invalid_offsets_rejected():
     with pytest.raises(ValueError):
         SparseMatrix(2, 2, [0, 2, 1], [0, 1, 0], [1, 1, 1])
