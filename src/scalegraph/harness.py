@@ -17,8 +17,8 @@ import numpy as np
 
 from scalegraph.autodiff import AdamState, adam_step, backward, softmax_cross_entropy
 from scalegraph.graphdata import DirectedGraph, SplitSet
-from scalegraph.models import ModelConfig, build_matrix_channel_model, build_model
-from scalegraph.scales import model_matrix_family, remove_shared_edges
+from scalegraph.models import ModelConfig, build_matrix_channel_model, build_model, matrix_family
+from scalegraph.scales import remove_shared_edges
 from scalegraph.sparse import SparseMatrix, sym_normalize
 
 
@@ -76,10 +76,20 @@ def accuracy(model, graph: DirectedGraph, idx) -> float:
 
 def train(model, graph: DirectedGraph, split, train_cfg: TrainConfig | None = None,
           seed: int = 0) -> TrainResult:
-    """Full training run; the model is left holding its best-validation weights."""
+    """Full training run; the model is left holding its best-validation weights.
+
+    Each epoch takes one Adam step, then scores the stepped model on the
+    validation and test nodes. Without dropout and batchnorm the training
+    forward equals the eval forward, so the scoring forward runs in training
+    mode and its recorded graph serves as the next epoch's training forward: a
+    run costs ``epochs_run + 1`` forwards instead of ``2 * epochs_run``. With
+    dropout or batchnorm the scoring forward runs in eval mode and every epoch
+    runs its own training forward.
+    """
     tc = train_cfg or TrainConfig()
     if len(split.val) == 0:
         raise ValueError("training requires a non-empty validation set")
+    fused = model.config.dropout == 0.0 and not model.config.use_bn
     rng = np.random.default_rng(seed)
     state = AdamState(lr=model.config.lr)
     params = model.params()
@@ -90,17 +100,20 @@ def train(model, graph: DirectedGraph, split, train_cfg: TrainConfig | None = No
     es_wait = 0
     lr_wait = 0
     epochs_run = 0
+    logits = None
     for _ in range(tc.max_epochs):
         epochs_run += 1
         for p in params:
             p.grad = None
-        logits = model.forward(graph.features, training=True, rng=rng)
+        if logits is None:
+            logits = model.forward(graph.features, training=True, rng=rng)
         loss = softmax_cross_entropy(logits, graph.labels, split.train)
         backward(loss)
         adam_step(params, [p.grad for p in params], state)
 
-        eval_logits = model.forward(graph.features, training=False).data
-        preds = np.argmax(eval_logits, axis=1)
+        scored = model.forward(graph.features, training=fused, rng=rng)
+        logits = scored if fused else None
+        preds = np.argmax(scored.data, axis=1)
         val_acc = float(np.mean(preds[split.val] == graph.labels[split.val]))
         history.append((float(loss.data), val_acc))
         if val_acc > best_val:
@@ -163,9 +176,11 @@ def cross_validate(cfg: ModelConfig, graph: DirectedGraph, splits: SplitSet,
     if len(seeds) != len(splits):
         raise ValueError("one seed per split required")
 
+    families = {}  # matrix_family memo shared by the folds, freed on return
+
     def make_task(split, seed):
         def task():
-            model = build_model(cfg, graph, seed=seed)
+            model = build_model(cfg, graph, seed=seed, families=families)
             return train(model, graph, split, train_cfg, seed=seed)
         return task
 
@@ -248,7 +263,7 @@ def per_scale_report(graph: DirectedGraph, splits: SplitSet, columns=None,
         if name not in PER_SCALE_COLUMNS:
             raise ValueError(f"unknown per-scale column {name!r}")
     cfg = model_cfg or default_column_config()
-    family = model_matrix_family(graph.adjacency.pattern())
+    family = matrix_family(graph.adjacency.pattern(), "keep", "keep")
     zeroed = graph.zeroed()
 
     def column_tasks(name, strip_shared):
@@ -302,13 +317,18 @@ _JK_TO_COMBS = {"max": ("jk_max", "jk_max"), "cat": ("jk_cat", "jk_cat"),
 
 
 def default_grid_space(base: ModelConfig | None = None):
-    """The full tuning grid, varying the first direction parameter only."""
+    """The full tuning grid, varying the first direction parameter only.
+
+    A non-scalenet base keeps ``comb1`` at ``add``, the only value it accepts.
+    """
     base = base or ModelConfig()
     space = []
     for layers, lr, drop, bn, relu_on, jk, selfloop, alpha in product(
             GRID_LAYERS, GRID_LR, GRID_DROPOUT, GRID_BN, GRID_RELU,
             GRID_JK, GRID_SELFLOOP, GRID_DIRECTION):
         comb1, comb2 = _JK_TO_COMBS[jk]
+        if base.family != "scalenet":
+            comb1 = "add"
         space.append(replace(base, layers=layers, lr=lr, dropout=drop, use_bn=bn,
                              use_relu=relu_on, comb1=comb1, comb2=comb2,
                              selfloop_mode=selfloop, alpha=alpha))
@@ -350,6 +370,7 @@ def grid_search(space, graph: DirectedGraph, splits: SplitSet,
     if not space:
         raise ValueError("empty grid space")
 
+    families = {}  # matrix_family memo shared by every task, freed on return
     tasks = []
     index = []
     for c_idx, cfg in enumerate(space):
@@ -357,7 +378,7 @@ def grid_search(space, graph: DirectedGraph, splits: SplitSet,
             seed = derive_seed(base_seed, cfg.to_json(), s_idx)
 
             def task(cfg=cfg, split=split, seed=seed):
-                model = build_model(cfg, graph, seed=seed)
+                model = build_model(cfg, graph, seed=seed, families=families)
                 return train(model, graph, split, train_cfg, seed=seed)
             tasks.append(task)
             index.append(c_idx)

@@ -25,6 +25,7 @@ from functools import reduce
 
 import numpy as np
 
+from scalegraph import scales
 from scalegraph.autodiff import (
     BatchNormState,
     Tensor,
@@ -41,10 +42,11 @@ from scalegraph.autodiff import (
     spmm,
 )
 from scalegraph.graphdata import DirectedGraph
-from scalegraph.scales import model_matrix_family, proximity_matrix
+from scalegraph.scales import ScaleSpec, build_scaled_adjacency, proximity_matrix
 from scalegraph.sparse import (
     SparseMatrix,
     add_self_loops,
+    apply_selfloop_mode,
     pattern_intersection,
     pattern_union,
     sym_normalize,
@@ -93,6 +95,8 @@ class ModelConfig:
             raise ValueError("hidden width must be >= 1")
         if self.comb1 not in COMB1_CHOICES or self.comb2 not in COMB2_CHOICES:
             raise ValueError(f"comb1 must be in {COMB1_CHOICES} and comb2 in {COMB2_CHOICES}")
+        if self.family != "scalenet" and self.comb1 != "add":
+            raise ValueError(f"comb1 applies to scalenet only; {self.family} needs comb1='add'")
         if self.selfloop_mode not in ("add", "remove", "keep"):
             raise ValueError(f"bad selfloop_mode {self.selfloop_mode!r}")
         if self.second_scale_selfloops not in ("keep", "remove"):
@@ -164,9 +168,32 @@ def agg_b(alpha: float, m: SparseMatrix, n: SparseMatrix, x: Tensor, weight: Ten
     return propagate(pair_channel(alpha, m, n, lambda s: s), matmul(x, weight))
 
 
-def prepare_direction_blocks(adj: SparseMatrix, cfg: ModelConfig):
-    """Normalized channels of the non-excluded direction pairs, precomputed once per run."""
-    family = model_matrix_family(adj, cfg.selfloop_mode, cfg.second_scale_selfloops)
+def matrix_family(adj: SparseMatrix, selfloop_mode: str, second_scale_selfloops: str,
+                  families: dict | None = None) -> dict[str, SparseMatrix]:
+    """``scales.model_matrix_family(adj, selfloop_mode, second_scale_selfloops)``, with the
+    products shared through the memo ``families``.
+
+    ``families`` maps ``second_scale_selfloops`` to the keep-mode family of ``adj`` and is
+    filled on first use; applying ``selfloop_mode`` to its ``A`` and ``T`` gives the same
+    matrices as building under that mode. Without a memo the family is built afresh. Tasks
+    running in threads may both build a missing entry; the builds are equal.
+    """
+    families = {} if families is None else families
+    if second_scale_selfloops not in families:
+        families[second_scale_selfloops] = scales.model_matrix_family(
+            adj, "keep", second_scale_selfloops)
+    family = dict(families[second_scale_selfloops])
+    for word in ("A", "T"):
+        family[word] = apply_selfloop_mode(family[word], selfloop_mode)
+    return family
+
+
+def prepare_direction_blocks(adj: SparseMatrix, cfg: ModelConfig, families=None):
+    """Normalized channels of the non-excluded direction pairs, precomputed once per run.
+
+    ``families`` is a ``matrix_family`` memo of ``adj`` to share products through.
+    """
+    family = matrix_family(adj, cfg.selfloop_mode, cfg.second_scale_selfloops, families)
     blocks = [pair_channel(param, family[wm], family[wn], sym_normalize)
               for param, (wm, wn) in ((cfg.alpha, ("A", "T")), (cfg.beta, ("AT", "TA")),
                                       (cfg.gamma, ("AA", "TT")))
@@ -282,8 +309,10 @@ def build_matrix_channel_model(cfg: ModelConfig, graph: DirectedGraph, matrices,
     return _stack(cfg, graph, [((m, 1.0),) for m in matrices], "add", seed)
 
 
-def _scaled(adj, cfg):
-    return model_matrix_family(adj, cfg.selfloop_mode, cfg.second_scale_selfloops)
+def _first_scale(adj, cfg):
+    """Words A and T under the first-scale self-loop mode; no second-scale product is built."""
+    return [build_scaled_adjacency(adj, ScaleSpec(word, cfg.selfloop_mode)).matrix
+            for word in ("A", "T")]
 
 
 def _normalized(patterns, coef=1.0):
@@ -292,32 +321,30 @@ def _normalized(patterns, coef=1.0):
 
 def _inception(*proximity):
     """Channels A and T, then one per pruned proximity matrix (hops, mode)."""
-    def channels(adj, cfg):
-        fam = _scaled(adj, cfg)
-        return _normalized([fam["A"], fam["T"]]
+    def channels(adj, cfg, families):
+        return _normalized(_first_scale(adj, cfg)
                            + [proximity_matrix(adj, k, mode, True) for k, mode in proximity])
     return channels
 
 
-def _one_ym(adj, cfg):
-    fam = _scaled(adj, cfg)
+def _one_ym(adj, cfg, families):
+    fam = matrix_family(adj, cfg.selfloop_mode, cfg.second_scale_selfloops, families)
     return _normalized([pattern_union(fam["A"], fam["T"]), fam["AT"], fam["TA"]])
 
 
-def _gcn(adj, cfg):
+def _gcn(adj, cfg, families):
     return _normalized([add_self_loops(pattern_union(adj, transpose(adj)))])
 
 
-def _dirgnn_lite(adj, cfg):
-    fam = _scaled(adj, cfg)
-    return _normalized([fam["A"], fam["T"]], coef=0.5)
+def _dirgnn_lite(adj, cfg, families):
+    return _normalized(_first_scale(adj, cfg), coef=0.5)
 
 
-# family -> (channels of every layer from (adjacency pattern, config), intra-layer
-# fusion); scalenet's fusion is the configured comb1
+# family -> (channels of every layer from (adjacency pattern, config, family memo),
+# intra-layer fusion); scalenet's fusion is the configured comb1
 _WIRING = {
     "scalenet": (prepare_direction_blocks, None),
-    "mlp": (lambda adj, cfg: [()], "add"),
+    "mlp": (lambda adj, cfg, families: [()], "add"),
     "one_ig": (_inception(), "add"),
     "one_igi2": (_inception((2, "intersect")), "add"),
     "one_igu2": (_inception((2, "union")), "add"),
@@ -328,9 +355,14 @@ _WIRING = {
 }
 
 
-def build_model(cfg: ModelConfig, graph: DirectedGraph, seed=0) -> Model:
-    """Wire a model family over the graph's scaled adjacency matrices."""
+def build_model(cfg: ModelConfig, graph: DirectedGraph, seed=0, families=None) -> Model:
+    """Wire a model family over the graph's scaled adjacency matrices.
+
+    ``families`` is a ``matrix_family`` memo of this graph's adjacency, for callers that
+    build several models; without it the model builds its own matrices.
+    """
     if cfg.family not in _WIRING:
         raise ValueError(f"unknown model family {cfg.family!r}")
     channels, fusion = _WIRING[cfg.family]
-    return _stack(cfg, graph, channels(graph.adjacency.pattern(), cfg), fusion or cfg.comb1, seed)
+    return _stack(cfg, graph, channels(graph.adjacency.pattern(), cfg, families),
+                  fusion or cfg.comb1, seed)

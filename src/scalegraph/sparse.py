@@ -205,8 +205,19 @@ def _from_sorted_keys(n_rows, n_cols, keys, values):
 # -- kernels ---------------------------------------------------------------
 
 
+# ``_t_cache`` marker of a matrix that is its own transpose; storing the matrix
+# itself there would make a reference cycle that only the cyclic collector frees
+_SYMMETRIC = object()
+
+
 def transpose(s: SparseMatrix) -> SparseMatrix:
-    """Exact CSR transpose (counting sort over column indices)."""
+    """Exact CSR transpose (counting sort over column indices), memoized.
+
+    A matrix exactly equal to its transpose is returned itself, so a symmetric
+    matrix keeps one CSR copy and one dense cache.
+    """
+    if s._t_cache is _SYMMETRIC:
+        return s
     if s._t_cache is not None:
         return s._t_cache
     rows = np.repeat(np.arange(s.n_rows, dtype=np.int64), np.diff(s.row_offsets))
@@ -214,6 +225,9 @@ def transpose(s: SparseMatrix) -> SparseMatrix:
     offsets = np.zeros(s.n_cols + 1, dtype=np.int64)
     np.cumsum(np.bincount(s.col_indices, minlength=s.n_cols), out=offsets[1:])
     out = SparseMatrix(s.n_cols, s.n_rows, offsets, rows[order], s.values[order])
+    if out == s:
+        s._t_cache = _SYMMETRIC
+        return s
     s._t_cache = out
     return out
 

@@ -263,3 +263,7 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys):
     rc, _, err = run(capsys, "train", *dataset_args(ds), "--alpha", "0.7",
                      "--out-dir", str(tmp_path / "x"))
     assert rc == 1 and "usage error" in err
+    # comb1 fuses scalenet's direction blocks; other families have a fixed fusion
+    rc, _, err = run(capsys, "train", *dataset_args(ds), "--family", "one_ig",
+                     "--comb1", "jk_max", "--out-dir", str(tmp_path / "y"))
+    assert rc == 1 and "usage error" in err and "comb1" in err

@@ -1,12 +1,17 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalegraph import scales
+from scalegraph.autodiff import AdamState, adam_step, backward, softmax_cross_entropy
 from scalegraph.graphdata import DirectedGraph, generate_dsbm, make_random_splits
 from scalegraph.harness import (
     ComparisonResult,
     TrainConfig,
+    TrainResult,
     accuracy,
     cross_validate,
     default_grid_space,
@@ -17,7 +22,7 @@ from scalegraph.harness import (
     train,
     wilcoxon_signed_rank,
 )
-from scalegraph.models import ModelConfig, build_model
+from scalegraph.models import Model, ModelConfig, build_model
 from scalegraph.sparse import SparseMatrix
 
 FAST = TrainConfig(max_epochs=60, es_patience=20, lr_patience=10)
@@ -85,6 +90,73 @@ def test_lr_scheduler_halves_on_plateau(toy):
     assert result.final_lr < 0.05
 
 
+def two_forward_train(model, graph, split, tc, seed):
+    """Reference loop: a training forward and a separate eval forward every epoch."""
+    rng = np.random.default_rng(seed)
+    state = AdamState(lr=model.config.lr)
+    params = model.params()
+    best_val, best_test, best_snap = -1.0, 0.0, None
+    history, es_wait, lr_wait = [], 0, 0
+    for _ in range(tc.max_epochs):
+        for p in params:
+            p.grad = None
+        logits = model.forward(graph.features, training=True, rng=rng)
+        loss = softmax_cross_entropy(logits, graph.labels, split.train)
+        backward(loss)
+        adam_step(params, [p.grad for p in params], state)
+        preds = np.argmax(model.forward(graph.features, training=False).data, axis=1)
+        val_acc = float(np.mean(preds[split.val] == graph.labels[split.val]))
+        history.append((float(loss.data), val_acc))
+        if val_acc > best_val:
+            best_val, best_snap, es_wait, lr_wait = val_acc, model.snapshot(), 0, 0
+            best_test = float(np.mean(preds[split.test] == graph.labels[split.test]))
+        else:
+            es_wait += 1
+            lr_wait += 1
+            if lr_wait > tc.lr_patience and state.lr > tc.min_lr:
+                state.lr = max(state.lr * tc.lr_factor, tc.min_lr)
+                lr_wait = 0
+            if es_wait > tc.es_patience:
+                break
+    model.restore(best_snap)
+    return TrainResult(best_val, best_test, len(history), history, seed, state.lr)
+
+
+@pytest.fixture
+def forward_modes(monkeypatch):
+    """The ``training`` flag of every ``Model.forward`` call, in order."""
+    modes = []
+    forward = Model.forward
+
+    def counted(model, features, training=False, rng=None):
+        modes.append(training)
+        return forward(model, features, training, rng)
+    monkeypatch.setattr(Model, "forward", counted)
+    return modes
+
+
+def test_fused_eval_matches_two_forward_loop(toy, forward_modes):
+    g, splits = toy
+    tc = TrainConfig(max_epochs=60, es_patience=8, lr_patience=2)
+    cfg = toy_cfg(layers=2, beta=0.5, lr=0.1)
+    reference = build_model(cfg, g, seed=9)
+    expected = two_forward_train(reference, g, splits[0], tc, seed=9)
+    assert expected.epochs_run < tc.max_epochs and expected.final_lr < cfg.lr
+    forward_modes.clear()
+    model = build_model(cfg, g, seed=9)
+    result = train(model, g, splits[0], tc, seed=9)
+    assert result == expected
+    assert all(np.array_equal(p.data, q.data) for p, q in zip(model.params(), reference.params()))
+    assert forward_modes == [True] * (result.epochs_run + 1)
+
+
+@pytest.mark.parametrize("kw", [{"dropout": 0.5}, {"use_bn": True}])
+def test_dropout_or_batchnorm_keeps_a_separate_eval_forward(toy, forward_modes, kw):
+    g, splits = toy
+    result = train(build_model(toy_cfg(**kw), g, seed=4), g, splits[0], FAST, seed=4)
+    assert forward_modes == [True, False] * result.epochs_run
+
+
 def test_train_config_caps_epoch_budget():
     with pytest.raises(ValueError, match="1..1500"):
         TrainConfig(max_epochs=2000)
@@ -132,6 +204,35 @@ def test_cross_validate_threads_match_serial(toy):
     assert serial.test_accs == parallel.test_accs
 
 
+@pytest.fixture
+def family_builds(monkeypatch):
+    """Weak references to the values of every matrix ``scales.model_matrix_family`` returns,
+    one list per call."""
+    builds = []
+    build = scales.model_matrix_family
+
+    def recorded(*args):
+        family = build(*args)
+        builds.append([weakref.ref(m.values) for m in family.values()])
+        return family
+    monkeypatch.setattr(scales, "model_matrix_family", recorded)
+    return builds
+
+
+def graph_state(g):
+    return {k: id(v) for k, v in vars(g).items()}, g.adjacency._t_cache, g.adjacency._dense_cache
+
+
+def test_cross_validate_builds_one_matrix_family(toy, family_builds):
+    g, splits = toy
+    before = graph_state(g)
+    folds = type(splits)([splits[0], splits[1], splits[0]])
+    cv = cross_validate(toy_cfg(beta=0.5), g, folds, seeds=3, train_cfg=FAST)
+    assert len(cv.results) == 3 and len(family_builds) == 1
+    assert all(ref() is None for ref in family_builds[0])
+    assert graph_state(g) == before
+
+
 # -- per-scale report -----------------------------------------------------------------
 
 
@@ -177,6 +278,8 @@ def test_per_scale_report_rejects_unknown_column(toy):
 def test_default_grid_space_size():
     space = default_grid_space()
     assert len(space) == 5 * 3 * 2 * 2 * 2 * 3 * 3 * 5
+    others = default_grid_space(ModelConfig(family="one_ig"))
+    assert len(others) == len(space) and {c.comb1 for c in others} == {"add"}
 
 
 def test_grid_search_singleton(toy):
@@ -205,6 +308,22 @@ def test_grid_search_deterministic_under_threads(toy):
     a = grid_search(space, g, splits, train_cfg=FAST, base_seed=5, threads=1)
     b = grid_search(space, g, splits, train_cfg=FAST, base_seed=5, threads=3)
     assert [r.test_accs for r in a] == [r.test_accs for r in b]
+
+
+def test_grid_search_builds_one_matrix_family(toy, family_builds):
+    g, splits = toy
+    before = graph_state(g)
+    space = [toy_cfg(beta=0.5, selfloop_mode=mode) for mode in ("add", "keep")]
+    ranked = grid_search(space, g, splits, train_cfg=FAST, base_seed=2)
+    assert len(family_builds) == 1
+    assert all(ref() is None for ref in family_builds[0])
+    assert graph_state(g) == before
+    for r in ranked:  # each run matches one built from its own matrix family
+        runs = [train(build_model(r.config, g, seed=seed), g, split, FAST, seed=seed)
+                for s_idx, split in enumerate(splits.splits)
+                for seed in [derive_seed(2, r.config.to_json(), s_idx)]]
+        assert r.test_accs == [run.test_acc_at_best_val for run in runs]
+    assert len(family_builds) == 1 + len(space) * len(splits)
 
 
 def test_grid_search_empty_space(toy):

@@ -9,6 +9,7 @@ from scalegraph.autodiff import (
     softmax_cross_entropy,
 )
 from scalegraph.graphdata import DirectedGraph, generate_dsbm
+from scalegraph import scales
 from scalegraph.models import (
     FAMILIES,
     ModelConfig,
@@ -41,7 +42,7 @@ def small_graph():
 
 def test_config_json_round_trip():
     cfg = ModelConfig(family="one_ym", alpha=1, beta=2, gamma=-1, layers=3,
-                      hidden=16, comb1="jk_cat", comb2="jk_max", use_bn=True)
+                      hidden=16, comb2="jk_max", use_bn=True)
     again = ModelConfig.from_json(cfg.to_json())
     assert again == cfg
 
@@ -61,6 +62,8 @@ def test_config_validation():
         ModelConfig(lr=0)
     with pytest.raises(ValueError):
         ModelConfig(comb1="mean")
+    with pytest.raises(ValueError, match="comb1"):
+        ModelConfig(family="one_ig", comb1="jk_max")
 
 
 # -- the directional coefficient law ----------------------------------------------
@@ -242,7 +245,8 @@ def test_family_wiring(small_graph, row):
     directions = {"scalenet": (1.0, 2.0, 3.0), "scalenet_pairs": (0.0, 0.5, -1.0)}
     alpha, beta, gamma = directions.get(row, (0.5, -1.0, -1.0))
     cfg = ModelConfig(family=row.removesuffix("_pairs"), alpha=alpha, beta=beta, gamma=gamma,
-                      layers=2, hidden=4, comb1="jk_max", selfloop_mode="add",
+                      layers=2, hidden=4, selfloop_mode="add",
+                      comb1="jk_max" if row.startswith("scalenet") else "add",
                       second_scale_selfloops="remove")
     adj = small_graph.adjacency.pattern()
     fam = model_matrix_family(adj, "add", "remove")
@@ -251,6 +255,21 @@ def test_family_wiring(small_graph, row):
         assert layer.channels == channels and layer.fusion == fusion
         assert len(layer.weights) == len(channels)
         assert (layer.proj is not None) == (fusion == "jk_cat")
+
+
+def test_first_scale_families_build_no_products(small_graph, monkeypatch):
+    products = []
+    spgemm = scales.spgemm
+
+    def counted(*args):
+        products.append(args)
+        return spgemm(*args)
+    monkeypatch.setattr(scales, "spgemm", counted)
+    for family in ("one_ig", "dirgnn_lite"):
+        build_model(ModelConfig(family=family, selfloop_mode="add"), small_graph, seed=0)
+    assert products == []
+    build_model(ModelConfig(beta=0.5), small_graph, seed=0)
+    assert len(products) == 4
 
 
 def test_unknown_family_rejected(small_graph):
@@ -291,7 +310,8 @@ def test_permutation_equivariance(small_graph, family, kwargs):
 @pytest.mark.parametrize("family", ["scalenet", "one_ym", "dirgnn_lite"])
 def test_model_gradient_check(small_graph, family):
     cfg = ModelConfig(family=family, alpha=0.5, beta=1.0, gamma=0.0, layers=2,
-                      hidden=5, comb1="jk_cat", comb2="jk_max", use_bn=True)
+                      hidden=5, comb1="jk_cat" if family == "scalenet" else "add",
+                      comb2="jk_max", use_bn=True)
     model = build_model(cfg, small_graph, seed=7)
     idx = np.arange(small_graph.n)
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +104,29 @@ def test_transpose_involution_and_dense_oracle():
         t = transpose(s)
         assert np.array_equal(t.to_dense(), s.to_dense().T)
         assert transpose(t) == s
+
+
+def test_transpose_of_symmetric_matrix_is_itself():
+    rng = np.random.default_rng(8)
+    adj = random_digraph(rng, 12)
+    at = sym_normalize(spgemm(adj, transpose(adj), "pattern"))
+    assert transpose(at) is at and transpose(at) is at
+    assert transpose(adj) is not adj and transpose(adj) == transpose(adj)
+    assert np.array_equal(transpose(adj).to_dense(), adj.to_dense().T)
+
+
+def test_symmetric_transpose_frees_without_the_cycle_collector():
+    rng = np.random.default_rng(9)
+    adj = random_digraph(rng, 10)
+    at = sym_normalize(spgemm(adj, transpose(adj), "pattern"))
+    gc.disable()
+    try:
+        transpose(at).to_dense_cached()
+        values = weakref.ref(at.values)
+        del at
+        assert values() is None
+    finally:
+        gc.enable()
 
 
 # -- spgemm ------------------------------------------------------------------
