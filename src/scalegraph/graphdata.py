@@ -13,7 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from scalegraph.sparse import SparseMatrix, degrees, format_edge_list, parse_edge_list
+from scalegraph.sparse import (
+    SparseMatrix,
+    _from_sorted_keys,
+    degrees,
+    format_edge_list,
+    parse_edge_list,
+)
 
 
 class DataError(ValueError):
@@ -336,7 +342,10 @@ def generate_dsbm(n, n_classes, p_in, p_out, profile=DirectionProfile(),
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), labels] = 1.0
     features = onehot + rng.normal(0.0, feature_noise, size=(n, n_classes))
-    return DirectedGraph(SparseMatrix.from_dense(dense.astype(float)), features, labels, n_classes)
+    # flat indices of the mask are the row-major keys, already sorted and unique
+    keys = np.flatnonzero(dense)
+    adj = _from_sorted_keys(n, n, keys, np.ones(len(keys)))
+    return DirectedGraph(adj, features, labels, n_classes)
 
 
 def make_random_splits(g: DirectedGraph, n_splits=1, train_frac=0.5, val_frac=0.25,

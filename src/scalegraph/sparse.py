@@ -211,7 +211,7 @@ _SYMMETRIC = object()
 
 
 def transpose(s: SparseMatrix) -> SparseMatrix:
-    """Exact CSR transpose (counting sort over column indices), memoized.
+    """Exact CSR transpose (a sort of the unique keys ``col * n_rows + row``), memoized.
 
     A matrix exactly equal to its transpose is returned itself, so a symmetric
     matrix keeps one CSR copy and one dense cache.
@@ -221,7 +221,8 @@ def transpose(s: SparseMatrix) -> SparseMatrix:
     if s._t_cache is not None:
         return s._t_cache
     rows = np.repeat(np.arange(s.n_rows, dtype=np.int64), np.diff(s.row_offsets))
-    order = np.lexsort((rows, s.col_indices))
+    # the keys are unique, so every sort kind gives this one permutation
+    order = np.argsort(s.col_indices * np.int64(s.n_rows) + rows)
     offsets = np.zeros(s.n_cols + 1, dtype=np.int64)
     np.cumsum(np.bincount(s.col_indices, minlength=s.n_cols), out=offsets[1:])
     out = SparseMatrix(s.n_cols, s.n_rows, offsets, rows[order], s.values[order])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scalegraph import autodiff
 from scalegraph.autodiff import (
     AdamState,
     BatchNormState,
@@ -85,6 +86,146 @@ def test_spmm_dense_oracle():
         # pattern adjacency: row i sums feature rows of i's out-neighbors
         for i in range(n):
             assert np.allclose(got[i], x[s.row(i)].sum(axis=0) if len(s.row(i)) else 0.0)
+
+
+def _reduceat_spmm(s, x):
+    """The row-major kernel: gather x's rows, scale, 2-D ``reduceat`` per row."""
+    out = np.zeros((s.n_rows, x.shape[1]))
+    nonempty = np.flatnonzero(np.diff(s.row_offsets) > 0)
+    if len(nonempty):
+        prod = x[s.col_indices] * s.values[:, None]
+        out[nonempty] = np.add.reduceat(prod, s.row_offsets[:-1][nonempty], axis=0)
+    return out
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _random_sparse(rng, n_rows, n_cols, nnz, heavy_rows=None):
+    """Weighted matrix of about ``nnz`` entries with signed values; the tests
+    keep its fill under 5% so ``_spmm_data`` does not take the dense branch.
+    With ``heavy_rows``, every entry lies in that many rows spread over the matrix."""
+    if heavy_rows is None:
+        rows = rng.integers(0, n_rows, size=nnz)
+    else:
+        heavy = rng.choice(n_rows, size=heavy_rows, replace=False)
+        rows = heavy[rng.integers(0, heavy_rows, size=nnz)]
+    cols = rng.integers(0, n_cols, size=nnz)
+    return SparseMatrix.from_coo(n_rows, n_cols, rows, cols, rng.normal(size=nnz))
+
+
+@pytest.mark.parametrize("n,nnz,d,heavy_rows", [
+    (300, 2_000, 32, None),      # below the column-major threshold
+    (600, 9_000, 16, None),      # just above it
+    (3_000, 60_000, 40, None),   # several column groups of the 1M-element budget
+    (2_000, 20_000, 1, None),
+    (2_000, 12_000, 3, 12),      # rows of ~1000 entries: reduceat's pairwise recursion
+])
+def test_spmm_kernels_match_reduceat_bits(n, nnz, d, heavy_rows):
+    rng = np.random.default_rng(n + d)
+    s = _random_sparse(rng, n, n, nnz, heavy_rows)
+    assert s.nnz < autodiff._DENSE_DISPATCH_FILL * n * n
+    x = rng.normal(size=(n, d))
+    _assert_same_bits(autodiff._spmm_data(s, x), _reduceat_spmm(s, x))
+
+
+@pytest.fixture
+def column_major(monkeypatch):
+    """Send every sparse-path SpMM through the column-major kernel, in groups
+    of at most ``budget // nnz`` columns."""
+    def force(budget=autodiff._SEGMENT_SUM_BUDGET):
+        monkeypatch.setattr(autodiff, "_SEGMENT_SUM_MIN_NNZ", 0)
+        monkeypatch.setattr(autodiff, "_SEGMENT_SUM_BUDGET", budget)
+    return force
+
+
+def test_column_major_sums_like_reduceat(column_major):
+    # reduceat adds a segment's first element to the pairwise sum of the rest:
+    # 1e16 + 40 here, where a left-to-right sum (bincount) gives 1e16, a
+    # pairwise np.add.reduce 1e16 + 36 and a BLAS dot 1e16 + 32
+    column_major()
+    n = 200
+    row = np.array([1e16] + [1.0] * 40)
+    s = SparseMatrix.from_coo(n, n, np.zeros(41, dtype=np.int64), np.arange(41), np.ones(41))
+    x = np.ones((n, 3))
+    x[0] = 1e16
+    got = autodiff._spmm_data(s, x)
+    _assert_same_bits(got, _reduceat_spmm(s, x))
+    assert np.all(got[0] == 1e16 + 40)
+    assert np.bincount(np.zeros(41, dtype=np.int64), weights=row)[0] == 1e16
+    assert np.add.reduce(row) != 1e16 + 40
+
+
+def test_column_major_keeps_negative_zero_and_empty_rows(column_major):
+    column_major(budget=1)
+    n = 120
+    # row 0: 0.0 * -1 = -0.0 alone; row 2: -0.0 + -0.0; row 5: 2*3 + -2*3 = +0.0
+    rows = np.array([0, 2, 2, 5, 5])
+    cols = np.array([7, 1, 9, 4, 8])
+    vals = np.array([-1.0, 1.0, -2.0, 2.0, -2.0])
+    s = SparseMatrix.from_coo(n, n, rows, cols, vals)
+    x = np.zeros((n, 2))
+    x[1] = x[9] = -0.0
+    x[9] = 0.0
+    x[4] = x[8] = 3.0
+    got = autodiff._spmm_data(s, x)
+    _assert_same_bits(got, _reduceat_spmm(s, x))
+    assert np.all(np.signbit(got[0])) and np.all(np.signbit(got[2]))
+    assert not np.any(np.signbit(got[5])) and not np.any(np.signbit(got[1]))
+    assert not np.any(got[[1, 3, 4] + list(range(6, n))])
+
+
+def test_column_major_edge_shapes(column_major):
+    rng = np.random.default_rng(3)
+    column_major(budget=50)
+    for n_rows, n_cols, nnz, d in [(40, 60, 30, 1), (60, 40, 45, 7), (50, 50, 0, 3), (1, 30, 1, 2)]:
+        s = _random_sparse(rng, n_rows, n_cols, nnz)
+        x = rng.normal(size=(n_cols, d))
+        _assert_same_bits(autodiff._spmm_data(s, x), _reduceat_spmm(s, x))
+    # the last row non-empty, every earlier row empty
+    s = SparseMatrix.from_coo(30, 30, [29, 29], [3, 5], [0.5, -1.5])
+    x = rng.normal(size=(30, 4))
+    _assert_same_bits(autodiff._spmm_data(s, x), _reduceat_spmm(s, x))
+
+
+@pytest.mark.parametrize("budget", [None, 700])
+def test_column_major_reads_non_contiguous_x(column_major, budget):
+    rng = np.random.default_rng(4)
+    column_major(**({} if budget is None else {"budget": budget}))
+    s = _random_sparse(rng, 80, 90, 300)
+    wide = rng.normal(size=(90, 24))
+    # an F-order array, and a column slice like one piece of a jk_cat gradient
+    for x in (np.asfortranarray(wide[:, :5]), wide[:, 8:19], wide[::1, 3:4]):
+        assert not x.flags.c_contiguous
+        _assert_same_bits(autodiff._spmm_data(s, x), _reduceat_spmm(s, np.ascontiguousarray(x)))
+
+
+@pytest.mark.parametrize("n,nnz,d", [(300, 2_000, 5), (700, 12_000, 6)])
+def test_spmm_sparse_paths_match_dense_oracle(n, nnz, d):
+    # test_spmm_dense_oracle's small graphs take the dense branch; these
+    # matrices take the row-major and the column-major sparse kernels
+    rng = np.random.default_rng(nnz)
+    s = _random_sparse(rng, n, n, nnz)
+    dense = s.to_dense()
+    x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+    y = spmm(s, x)
+    assert np.allclose(y.data, dense @ x.data, rtol=1e-12, atol=1e-12)
+    w = rng.normal(size=(n, d))
+    backward(sum_all(mul(y, Tensor(w))))
+    assert np.allclose(x.grad, dense.T @ w, rtol=1e-12, atol=1e-12)
+
+
+def test_spmm_matches_scipy_oracle():
+    sp = pytest.importorskip("scipy.sparse")
+    rng = np.random.default_rng(6)
+    for n, nnz, d in [(300, 2_000, 8), (600, 9_000, 17)]:
+        s = _random_sparse(rng, n, n, nnz)
+        csr = sp.csr_matrix((s.values, s.col_indices, s.row_offsets), shape=s.shape)
+        x = rng.normal(size=(n, d))
+        assert np.allclose(autodiff._spmm_data(s, x), csr @ x, rtol=1e-12, atol=1e-12)
 
 
 def test_nonfinite_result_rejected():

@@ -193,6 +193,16 @@ def test_dsbm_deterministic_under_seed():
     assert a.adjacency != c.adjacency
 
 
+def test_dsbm_adjacency_is_canonical_pattern():
+    # the CSR built from the sampled mask equals the one from_dense builds
+    profile = DirectionProfile(signal="out", no_in_fraction=0.5)
+    for g in (generate_dsbm(60, 3, 0.2, 0.02, seed=7),
+              generate_dsbm(100, 4, 0.3, 0.02, profile=profile, seed=3),
+              generate_dsbm(5, 5, 0.0, 0.0, seed=0)):
+        assert g.adjacency == SparseMatrix.from_dense(g.adjacency.to_dense())
+        assert np.all(g.adjacency.values == 1.0)
+
+
 def test_dsbm_pure_intra_when_p_out_zero():
     g = generate_dsbm(50, 5, 0.3, 0.0, seed=1)
     rows = np.repeat(np.arange(g.n), np.diff(g.adjacency.row_offsets))

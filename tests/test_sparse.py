@@ -106,6 +106,22 @@ def test_transpose_involution_and_dense_oracle():
         assert transpose(t) == s
 
 
+def test_transpose_matches_scipy_oracle():
+    sp = pytest.importorskip("scipy.sparse")
+    rng = np.random.default_rng(10)
+    for _ in range(30):
+        n_rows, n_cols = (int(v) for v in rng.integers(1, 40, size=2))
+        # low fill leaves rows and columns empty
+        s = random_weighted(rng, n_rows, n_cols, density=float(rng.choice([0.02, 0.1, 0.4])))
+        want = sp.csr_matrix((s.values, s.col_indices, s.row_offsets), shape=s.shape).T.tocsr()
+        want.sort_indices()
+        t = transpose(s)
+        assert t.shape == want.shape
+        assert np.array_equal(t.row_offsets, want.indptr)
+        assert np.array_equal(t.col_indices, want.indices)
+        assert np.array_equal(t.values, want.data)
+
+
 def test_transpose_of_symmetric_matrix_is_itself():
     rng = np.random.default_rng(8)
     adj = random_digraph(rng, 12)
