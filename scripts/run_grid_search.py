@@ -24,7 +24,6 @@ def main():
     parser.add_argument("--splits", type=int, default=10)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--max-epochs", type=int, default=120)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     graph = generate_dsbm(args.n, args.classes, 0.10, 0.01, feature_noise=0.5,
@@ -39,8 +38,7 @@ def main():
     space += [ModelConfig(alpha=-1.0, beta=0.5, gamma=-1.0, layers=1, hidden=32,
                           lr=0.05, selfloop_mode=selfloop)
               for selfloop in ("add", "keep")]
-    ranked = grid_search(space, graph, splits, train_cfg=tc, base_seed=0,
-                         threads=args.threads)
+    ranked = grid_search(space, graph, splits, train_cfg=tc, base_seed=0)
     sys.stdout.write(leaderboard_tsv(ranked))
 
     if len(ranked) > 1 and len(splits) >= 5:

@@ -26,8 +26,7 @@ def run(name, graph_fn, seeds, args):
         g = graph_fn(seed)
         splits = make_random_splits(g, n_splits=1, seed=seed)
         report = per_scale_report(g, splits, train_cfg=tc, seeds=(seed,),
-                                  include_shared_removed=args.shared_removed,
-                                  threads=args.threads)
+                                  include_shared_removed=args.shared_removed)
         for col in report.columns:
             accs.setdefault(col.name, []).append(col.mean)
     print(f"# {name} (mean over {len(seeds)} generator seeds)")
@@ -47,7 +46,6 @@ def main():
     parser.add_argument("--lr-patience", type=int, default=12)
     parser.add_argument("--shared-removed", action="store_true",
                         help="also report second-scale columns with first-scale edges removed")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     seeds = list(range(args.seeds))

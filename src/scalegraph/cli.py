@@ -223,8 +223,7 @@ def _cmd_report_scales(args, argv):
     model_cfg = _model_config(args) if _any_model_flag(args) else None
     report = per_scale_report(graph, splits, columns=columns, model_cfg=model_cfg,
                               train_cfg=_train_config(args), seeds=seeds,
-                              include_shared_removed=args.include_shared_removed,
-                              threads=args.threads)
+                              include_shared_removed=args.include_shared_removed)
     text = report.to_tsv()
     (out / "scale_report.tsv").write_text(text)
     sys.stdout.write(text)
@@ -248,7 +247,7 @@ def _cmd_gridsearch(args, argv):
     if args.max_configs:
         space = space[: args.max_configs]
     ranked = grid_search(space, graph, splits, train_cfg=_train_config(args),
-                         base_seed=args.seed, threads=args.threads)
+                         base_seed=args.seed)
     _write_json(out / "results.json", [g.to_dict() for g in ranked])
     board = leaderboard_tsv(ranked)
     (out / "leaderboard.tsv").write_text(board)
@@ -345,7 +344,6 @@ def build_parser():
     p.add_argument("--columns", help="comma list, default: all ten columns")
     p.add_argument("--seeds", help="comma list of training seeds")
     p.add_argument("--include-shared-removed", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_report_scales)
 
     p = sub.add_parser("gridsearch", help="exhaustive config search, leaderboard out")
@@ -355,7 +353,6 @@ def build_parser():
     _add_train_flags(p)
     p.add_argument("--space-file", help="JSON array of ModelConfig dicts")
     p.add_argument("--max-configs", type=int)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_gridsearch)
 
     p = sub.add_parser("compare", help="Wilcoxon signed-rank comparison of two series")

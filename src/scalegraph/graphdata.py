@@ -230,6 +230,8 @@ def _read_splits(path, n):
         raise DataError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("splits"), list):
         raise DataError(f"{path}: expected an object with a 'splits' list")
+    if not payload["splits"]:
+        raise DataError(f"{path}: the 'splits' list is empty")
     out = []
     for i, entry in enumerate(payload["splits"]):
         if not isinstance(entry, dict):
@@ -351,6 +353,8 @@ def generate_dsbm(n, n_classes, p_in, p_out, profile=DirectionProfile(),
 def make_random_splits(g: DirectedGraph, n_splits=1, train_frac=0.5, val_frac=0.25,
                        seed=0) -> SplitSet:
     """Stratified random splits: every class appears in every train set."""
+    if n_splits < 1:
+        raise ValueError(f"n_splits must be at least 1, got {n_splits}")
     if not 0 < train_frac < 1 or not 0 <= val_frac < 1 or train_frac + val_frac >= 1:
         raise ValueError("fractions must satisfy 0 < train, 0 <= val, train + val < 1")
     rng = np.random.default_rng(seed)

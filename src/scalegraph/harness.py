@@ -9,7 +9,6 @@ validation accuracy with a 410-epoch patience, a plateau LR scheduler with an
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -156,35 +155,26 @@ def _sample_std(values):
     return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
 
 
-def _run_indexed(tasks, threads):
-    """Evaluate ``tasks`` (zero-arg closures); results keep task order."""
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(task) for task in tasks]
-            return [f.result() for f in futures]
-    return [task() for task in tasks]
+def _fold_runs(cfg, graph, splits, seeds, train_cfg, families):
+    """One ``train(build_model(...))`` result per (split, seed) pair; ``families`` is the
+    ``matrix_family`` memo the runs share."""
+    if len(splits) == 0:
+        raise ValueError("need at least one split")
+    results = []
+    for split, seed in zip(splits.splits, seeds):
+        model = build_model(cfg, graph, seed=seed, families=families)
+        results.append(train(model, graph, split, train_cfg, seed=seed))
+    return results
 
 
 def cross_validate(cfg: ModelConfig, graph: DirectedGraph, splits: SplitSet,
-                   seeds=0, train_cfg: TrainConfig | None = None,
-                   threads: int = 1) -> CrossValResult:
+                   seeds=0, train_cfg: TrainConfig | None = None) -> CrossValResult:
     """One training run per split; mean and sample std of test accuracy."""
-    if len(splits) == 0:
-        raise ValueError("need at least one split")
     if isinstance(seeds, (int, np.integer)):
         seeds = [derive_seed(seeds, "fold", i) for i in range(len(splits))]
     if len(seeds) != len(splits):
         raise ValueError("one seed per split required")
-
-    families = {}  # matrix_family memo shared by the folds, freed on return
-
-    def make_task(split, seed):
-        def task():
-            model = build_model(cfg, graph, seed=seed, families=families)
-            return train(model, graph, split, train_cfg, seed=seed)
-        return task
-
-    results = _run_indexed([make_task(s, seed) for s, seed in zip(splits.splits, seeds)], threads)
+    results = _fold_runs(cfg, graph, splits, seeds, train_cfg, families={})
     accs = [r.test_acc_at_best_val for r in results]
     return CrossValResult(float(np.mean(accs)), _sample_std(accs), results)
 
@@ -249,8 +239,7 @@ def default_column_config():
 def per_scale_report(graph: DirectedGraph, splits: SplitSet, columns=None,
                      model_cfg: ModelConfig | None = None,
                      train_cfg: TrainConfig | None = None, seeds=(0,),
-                     include_shared_removed: bool = False,
-                     threads: int = 1) -> ScaleReport:
+                     include_shared_removed: bool = False) -> ScaleReport:
     """Train one channel model per scaled-graph column and tabulate test accuracy.
 
     Columns with a "+" add the aggregation outputs of the two named scaled
@@ -262,11 +251,13 @@ def per_scale_report(graph: DirectedGraph, splits: SplitSet, columns=None,
     for name in names:
         if name not in PER_SCALE_COLUMNS:
             raise ValueError(f"unknown per-scale column {name!r}")
+    if len(splits) == 0 or len(seeds) == 0:
+        raise ValueError("need at least one split and one seed")
     cfg = model_cfg or default_column_config()
     family = matrix_family(graph.adjacency.pattern(), "keep", "keep")
     zeroed = graph.zeroed()
 
-    def column_tasks(name, strip_shared):
+    def column_accs(name, strip_shared):
         words = PER_SCALE_COLUMNS[name]
         if not words:
             g, mats = zeroed, [SparseMatrix.empty(graph.n, graph.n)]
@@ -276,26 +267,21 @@ def per_scale_report(graph: DirectedGraph, splits: SplitSet, columns=None,
             if strip_shared:
                 pats = [remove_shared_edges(p, [family["A"], family["T"]]) for p in pats]
             mats = [sym_normalize(p) for p in pats]
-        tasks = []
+        accs = []
         for i, split in enumerate(splits.splits):
             for seed in seeds:
                 run_seed = derive_seed(seed, name, "shared" if strip_shared else "plain", i)
-
-                def task(g=g, mats=mats, split=split, run_seed=run_seed):
-                    model = build_matrix_channel_model(cfg, g, mats, seed=run_seed)
-                    return train(model, g, split, train_cfg, seed=run_seed)
-                tasks.append(task)
-        return tasks
+                model = build_matrix_channel_model(cfg, g, mats, seed=run_seed)
+                accs.append(train(model, g, split, train_cfg, seed=run_seed).test_acc_at_best_val)
+        return accs
 
     report = []
     for name in names:
-        results = _run_indexed(column_tasks(name, False), threads)
-        accs = [r.test_acc_at_best_val for r in results]
+        accs = column_accs(name, False)
         removed = None
         if include_shared_removed and all(len(w) == 2 for w in PER_SCALE_COLUMNS[name]) \
                 and PER_SCALE_COLUMNS[name]:
-            removed_results = _run_indexed(column_tasks(name, True), threads)
-            removed = [r.test_acc_at_best_val for r in removed_results]
+            removed = column_accs(name, True)
         report.append(ColumnResult(name, accs, removed))
     return ScaleReport(report)
 
@@ -358,35 +344,22 @@ class GridResult:
 
 
 def grid_search(space, graph: DirectedGraph, splits: SplitSet,
-                train_cfg: TrainConfig | None = None, base_seed: int = 0,
-                threads: int = 1):
+                train_cfg: TrainConfig | None = None, base_seed: int = 0):
     """Exhaustive search over ``space``; ranked by mean validation accuracy.
 
     Ties break toward fewer layers, then lower learning rate. Each (config,
-    split) task gets a seed derived from the base seed and the config text, so
+    split) run gets a seed derived from the base seed and the config text, so
     any subset of the grid reproduces bit-identically.
     """
     space = list(space)
     if not space:
         raise ValueError("empty grid space")
 
-    families = {}  # matrix_family memo shared by every task, freed on return
-    tasks = []
-    index = []
-    for c_idx, cfg in enumerate(space):
-        for s_idx, split in enumerate(splits.splits):
-            seed = derive_seed(base_seed, cfg.to_json(), s_idx)
-
-            def task(cfg=cfg, split=split, seed=seed):
-                model = build_model(cfg, graph, seed=seed, families=families)
-                return train(model, graph, split, train_cfg, seed=seed)
-            tasks.append(task)
-            index.append(c_idx)
-    results = _run_indexed(tasks, threads)
-
+    families = {}  # matrix_family memo shared by every config, freed on return
     ranked = []
-    for c_idx, cfg in enumerate(space):
-        runs = [r for r, i in zip(results, index) if i == c_idx]
+    for cfg in space:
+        seeds = [derive_seed(base_seed, cfg.to_json(), s_idx) for s_idx in range(len(splits))]
+        runs = _fold_runs(cfg, graph, splits, seeds, train_cfg, families)
         vals = [r.best_val_acc for r in runs]
         tests = [r.test_acc_at_best_val for r in runs]
         ranked.append(GridResult(cfg, float(np.mean(vals)), float(np.mean(tests)),

@@ -175,8 +175,7 @@ def matrix_family(adj: SparseMatrix, selfloop_mode: str, second_scale_selfloops:
 
     ``families`` maps ``second_scale_selfloops`` to the keep-mode family of ``adj`` and is
     filled on first use; applying ``selfloop_mode`` to its ``A`` and ``T`` gives the same
-    matrices as building under that mode. Without a memo the family is built afresh. Tasks
-    running in threads may both build a missing entry; the builds are equal.
+    matrices as building under that mode. Without a memo the family is built afresh.
     """
     families = {} if families is None else families
     if second_scale_selfloops not in families:

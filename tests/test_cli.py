@@ -236,6 +236,11 @@ def test_manifest_written_before_compute(tmp_path, capsys):
 def test_unknown_flag_is_usage_error(tmp_path, capsys):
     rc, _, err = run(capsys, "synth", "--bogus", "1", "--out-dir", str(tmp_path))
     assert rc == 1 and "usage error" in err
+    # the harness runs serially; the old parallelism flag is not accepted
+    for command in ("gridsearch", "report-scales"):
+        rc, _, err = run(capsys, command, "--data-dir", str(HAND7), "--threads", "2",
+                         "--out-dir", str(tmp_path / command))
+        assert rc == 1 and "usage error" in err
 
 
 def test_missing_file_is_data_error(tmp_path, capsys):
@@ -249,7 +254,8 @@ def test_malformed_splits_are_data_errors(tmp_path, capsys):
     cases = [({"splits": [5]}, "split 0 must be an object"),
              ({"splits": [dict(good, train=[0.7])]}, "split 0 'train'"),
              ({"splits": [good, dict(good, val=["x"])]}, "split 1 'val'"),
-             ({"splits": good}, "'splits' list")]
+             ({"splits": good}, "'splits' list"),
+             ({"splits": []}, "'splits' list is empty")]
     ds = tmp_path / "ds"
     shutil.copytree(HAND7, ds)
     for payload, where in cases:

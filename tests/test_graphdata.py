@@ -261,6 +261,9 @@ def test_random_splits_stratified_and_deterministic():
     for s in s1.splits:
         assert set(np.unique(g.labels[s.train])) == {0, 1, 2}
         assert len(np.intersect1d(s.train, s.test)) == 0
+    for n_splits in (0, -1):
+        with pytest.raises(ValueError, match="n_splits must be at least 1"):
+            make_random_splits(g, n_splits=n_splits)
 
 
 def test_imbalanced_split_ratio_one_equalizes():

@@ -197,13 +197,6 @@ def test_cross_validate_summary_format(toy):
     assert float(std) == pytest.approx(100 * cv.std, abs=0.051)
 
 
-def test_cross_validate_threads_match_serial(toy):
-    g, splits = toy
-    serial = cross_validate(toy_cfg(), g, splits, seeds=1, train_cfg=FAST, threads=1)
-    parallel = cross_validate(toy_cfg(), g, splits, seeds=1, train_cfg=FAST, threads=4)
-    assert serial.test_accs == parallel.test_accs
-
-
 @pytest.fixture
 def family_builds(monkeypatch):
     """Weak references to the values of every matrix ``scales.model_matrix_family`` returns,
@@ -272,6 +265,19 @@ def test_per_scale_report_rejects_unknown_column(toy):
         per_scale_report(g, splits, columns=["AAA"])
 
 
+def test_drivers_reject_empty_splits_and_seeds(toy):
+    g, splits = toy
+    none = type(splits)([])
+    with pytest.raises(ValueError, match="at least one split"):
+        cross_validate(toy_cfg(), g, none, train_cfg=FAST)
+    with pytest.raises(ValueError, match="at least one split"):
+        grid_search([toy_cfg()], g, none, train_cfg=FAST)
+    with pytest.raises(ValueError, match="at least one split"):
+        per_scale_report(g, none, columns=["A"], train_cfg=FAST)
+    with pytest.raises(ValueError, match="one seed"):
+        per_scale_report(g, splits, columns=["A"], train_cfg=FAST, seeds=())
+
+
 # -- grid search ------------------------------------------------------------------------
 
 
@@ -300,14 +306,6 @@ def test_grid_search_ranks_good_above_bad(toy):
     board = leaderboard_tsv(ranked)
     assert board.splitlines()[0].startswith("rank\t")
     assert len(board.strip().splitlines()) == 3
-
-
-def test_grid_search_deterministic_under_threads(toy):
-    g, splits = toy
-    space = [toy_cfg(), toy_cfg(layers=2)]
-    a = grid_search(space, g, splits, train_cfg=FAST, base_seed=5, threads=1)
-    b = grid_search(space, g, splits, train_cfg=FAST, base_seed=5, threads=3)
-    assert [r.test_accs for r in a] == [r.test_accs for r in b]
 
 
 def test_grid_search_builds_one_matrix_family(toy, family_builds):
