@@ -31,7 +31,9 @@ class DirectedGraph:
 
     def __init__(self, adjacency: SparseMatrix, features, labels, n_classes=None):
         self.adjacency = adjacency
-        self.features = np.ascontiguousarray(features, dtype=np.float64)
+        # an owned, read-only copy: models precompute from it, so it must not change
+        self.features = np.array(features, dtype=np.float64, order="C")
+        self.features.flags.writeable = False
         self.labels = np.ascontiguousarray(labels, dtype=np.int64)
         inferred = int(self.labels.max()) + 1 if len(self.labels) else 0
         self.n_classes = int(n_classes) if n_classes is not None else inferred

@@ -6,6 +6,13 @@ weight W and computes sum_k c_k * S_k (X W). The empty channel is the
 identity, which makes the feature-only MLP. The channel outputs are fused,
 then a bias and the optional batchnorm / relu / dropout follow.
 
+Layer 1's input is the graph's features, a constant, so its channels are
+reassociated: the model precomputes P_c = sum_k c_k * S_k X once when it is
+built and layer 1 runs one dense product P_c W per channel, with no sparse
+product in its forward or backward (as SIGN and SGC precompute propagated
+features). A forward on any other feature array, and every later layer, takes
+the sparse path.
+
 ScaleNet builds its channels from pairs of opposite-direction matrices (M, N)
 blended through one directional parameter:
 
@@ -206,7 +213,11 @@ def prepare_direction_blocks(adj: SparseMatrix, cfg: ModelConfig, families=None)
 
 
 class Layer:
-    """Channels with their own weights, a fusion, a bias and optional BN / ReLU / dropout."""
+    """Channels with their own weights, a fusion, a bias and optional BN / ReLU / dropout.
+
+    Called with ``inputs``, the channels' propagated inputs P_c = sum_k c_k * S_k x, it
+    computes each channel as P_c W and ignores ``x``; without them, as sum_k c_k * S_k (x W).
+    """
 
     def __init__(self, cfg, channels, fusion, in_dim, rng):
         self.cfg = cfg
@@ -225,8 +236,12 @@ class Layer:
             self.bn_beta = Tensor(np.zeros((1, cfg.hidden)), requires_grad=True)
             self.bn_state = BatchNormState.for_width(cfg.hidden)
 
-    def __call__(self, x, training, rng):
-        outs = [propagate(channel, matmul(x, w)) for channel, w in zip(self.channels, self.weights)]
+    def __call__(self, x, training, rng, inputs=None):
+        if inputs is None:
+            outs = [propagate(channel, matmul(x, w))
+                    for channel, w in zip(self.channels, self.weights)]
+        else:
+            outs = [matmul(p, w) for p, w in zip(inputs, self.weights)]
         h = add_bias(fuse(outs, self.fusion, self.proj), self.bias)
         if self.cfg.use_bn:
             h = batchnorm(h, self.bn_gamma, self.bn_beta, self.bn_state, training)
@@ -247,20 +262,31 @@ class Layer:
 
 
 class Model:
-    """Stacked layers, cross-layer fusion, and a linear classifier head."""
+    """Stacked layers, cross-layer fusion, and a linear classifier head.
 
-    def __init__(self, cfg: ModelConfig, layers, n_classes, rng):
+    ``features`` is the graph's (read-only) feature array X. The model keeps
+    ``inputs``, layer 1's propagated inputs P_c = sum_k c_k * S_k X, one per
+    channel (X itself for the empty channel), which costs channels x n x d floats.
+    ``forward`` uses them when it is given that same array; any other array
+    takes the sparse path in layer 1 and gives the same logits up to rounding.
+    """
+
+    def __init__(self, cfg: ModelConfig, layers, n_classes, rng, features):
         self.config = cfg
         self.layers = layers
         head_in = cfg.hidden * (cfg.layers if cfg.comb2 == "jk_cat" else 1)
         self.head_weight = Tensor(glorot_uniform(head_in, n_classes, rng), requires_grad=True)
         self.head_bias = Tensor(np.zeros((1, n_classes)), requires_grad=True)
+        self.features = features
+        self.inputs = [propagate(channel, Tensor(features)) for channel in layers[0].channels]
 
     def forward(self, features, training=False, rng=None) -> Tensor:
+        inputs = self.inputs if features is self.features else None
         x = Tensor(features)
         outs = []
         for layer in self.layers:
-            x = layer(x, training, rng)
+            x = layer(x, training, rng, inputs)
+            inputs = None
             outs.append(x)
         return add_bias(matmul(fuse(outs, self.config.comb2), self.head_weight), self.head_bias)
 
@@ -299,7 +325,7 @@ def _stack(cfg: ModelConfig, graph: DirectedGraph, channels, fusion, seed) -> Mo
     rng = np.random.default_rng(seed)
     layers = [Layer(cfg, channels, fusion, graph.d if i == 0 else cfg.hidden, rng)
               for i in range(cfg.layers)]
-    return Model(cfg, layers, graph.n_classes, rng)
+    return Model(cfg, layers, graph.n_classes, rng, graph.features)
 
 
 def build_matrix_channel_model(cfg: ModelConfig, graph: DirectedGraph, matrices,

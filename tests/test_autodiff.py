@@ -228,6 +228,32 @@ def test_spmm_matches_scipy_oracle():
         assert np.allclose(autodiff._spmm_data(s, x), csr @ x, rtol=1e-12, atol=1e-12)
 
 
+class _Untransposable(np.ndarray):
+    @property
+    def T(self):
+        raise AssertionError("transposed for a gradient nobody needs")
+
+
+@pytest.mark.parametrize("grad_a", [True, False])
+def test_matmul_backward_skips_unneeded_products(grad_a):
+    # the gradient of a needs b.T and that of b needs a.T; only one is asked for
+    rng = np.random.default_rng(14)
+    a = Tensor(rng.normal(size=(4, 3)), requires_grad=grad_a)
+    b = Tensor(rng.normal(size=(3, 2)), requires_grad=not grad_a)
+    loss = sum_all(matmul(a, b))
+    a_data, b_data = a.data, b.data
+    if grad_a:
+        a.data = a_data.view(_Untransposable)
+    else:
+        b.data = b_data.view(_Untransposable)
+    backward(loss)
+    ones = np.ones((4, 2))
+    if grad_a:
+        assert b.grad is None and np.array_equal(a.grad, ones @ b_data.T)
+    else:
+        assert a.grad is None and np.array_equal(b.grad, a_data.T @ ones)
+
+
 def test_nonfinite_result_rejected():
     big = Tensor(np.full((2, 2), 1e308))
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError):

@@ -83,6 +83,15 @@ def test_overlapping_split_rejected(tmp_path):
                      HAND7 / "labels.txt", tmp_path / "splits.json")
 
 
+def test_graph_features_are_an_owned_read_only_copy():
+    features = np.arange(6.0).reshape(3, 2)
+    g = DirectedGraph(SparseMatrix.from_edges(3, [0], [1]), features, [0, 1, 1])
+    with pytest.raises(ValueError):
+        g.features[0, 0] = 5.0
+    features[0, 0] = 7.0  # the caller's array stays writable and is not aliased
+    assert g.features[0, 0] == 0.0
+
+
 def test_row_normalize_features():
     from scalegraph.graphdata import row_normalize_features
 

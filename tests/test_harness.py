@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -445,6 +446,19 @@ def test_wilcoxon_p_decreases_with_shift():
         p = wilcoxon_signed_rank(ys + noise + shift, ys).p_value
         assert p <= prev + 1e-12
         prev = p
+
+
+def test_wilcoxon_exact_matches_scipy_oracle():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(29)
+    for n in range(5, 21):
+        for shift in (0.0, 0.4, 1.5):
+            # continuous draws: no tied magnitudes and no zero differences
+            xs, ys = rng.normal(size=n) + shift, rng.normal(size=n)
+            got = wilcoxon_signed_rank(xs, ys, method="exact")
+            want = stats.wilcoxon(xs, ys, method="exact")
+            assert got.statistic == want.statistic
+            assert math.isclose(got.p_value, want.pvalue, rel_tol=1e-12)
 
 
 def test_wilcoxon_normal_approx_near_exact_at_30():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from scalegraph import models
 from scalegraph.autodiff import (
     Tensor,
+    backward,
     finite_diff_check,
     glorot_uniform,
     matmul,
@@ -307,20 +309,75 @@ def test_permutation_equivariance(small_graph, family, kwargs):
 # -- gradients through full models ----------------------------------------------------
 
 
-@pytest.mark.parametrize("family", ["scalenet", "one_ym", "dirgnn_lite"])
-def test_model_gradient_check(small_graph, family):
+def gradient_check_error(graph, family, features):
     cfg = ModelConfig(family=family, alpha=0.5, beta=1.0, gamma=0.0, layers=2,
                       hidden=5, comb1="jk_cat" if family == "scalenet" else "add",
                       comb2="jk_max", use_bn=True)
-    model = build_model(cfg, small_graph, seed=7)
-    idx = np.arange(small_graph.n)
+    model = build_model(cfg, graph, seed=7)
+    idx = np.arange(graph.n)
 
     def loss():
-        logits = model.forward(small_graph.features, training=True, rng=None)
-        return softmax_cross_entropy(logits, small_graph.labels, idx)
+        logits = model.forward(features, training=True, rng=None)
+        return softmax_cross_entropy(logits, graph.labels, idx)
 
-    err = finite_diff_check(loss, model.params(), eps=1e-5, max_entries=12, seed=0)
-    assert err < 1e-4
+    return finite_diff_check(loss, model.params(), eps=1e-5, max_entries=12, seed=0)
+
+
+@pytest.mark.parametrize("family", ["scalenet", "one_ym", "dirgnn_lite"])
+def test_model_gradient_check(small_graph, family):
+    assert gradient_check_error(small_graph, family, small_graph.features) < 1e-4
+
+
+@pytest.mark.parametrize("family", ["scalenet", "one_ym", "dirgnn_lite"])
+def test_sparse_path_gradient_check(small_graph, family):
+    # a feature array other than the graph's own takes the sparse path in layer 1
+    assert gradient_check_error(small_graph, family, small_graph.features.copy()) < 1e-4
+
+
+# -- layer 1's precomputed inputs -------------------------------------------------------
+
+
+def logits_and_grads(model, graph, features):
+    for p in model.params():
+        p.grad = None
+    logits = model.forward(features, training=True, rng=None)
+    backward(softmax_cross_entropy(logits, graph.labels, np.arange(graph.n)))
+    return logits.data, [p.grad for p in model.params()]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_precomputed_layer_one_matches_sparse_path(small_graph, family):
+    # scalenet: a coefficient pair, a union block and an intersection block. No batchnorm:
+    # it makes the layer bias gradients zero up to rounding, which no rtol can compare.
+    directions = {"alpha": 0.5, "beta": 2.0, "gamma": 3.0} if family == "scalenet" else {}
+    cfg = ModelConfig(family=family, layers=2, hidden=6, comb2="jk_cat",
+                      comb1="jk_cat" if family == "scalenet" else "add", **directions)
+    model = build_model(cfg, small_graph, seed=3)
+    fast, fast_grads = logits_and_grads(model, small_graph, small_graph.features)
+    slow, slow_grads = logits_and_grads(model, small_graph, small_graph.features.copy())
+    if family == "mlp":
+        assert np.array_equal(fast, slow)
+    np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0)
+    assert len(fast_grads) == len(slow_grads) == len(model.params())
+    for got, want in zip(fast_grads, slow_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_precomputed_layer_one_runs_no_sparse_product(small_graph, monkeypatch):
+    calls = []
+    spmm = models.spmm
+
+    def counted(s, x):
+        calls.append(s)
+        return spmm(s, x)
+
+    cfg = ModelConfig(alpha=0.5, beta=0.5, gamma=-1.0, layers=1, hidden=4)
+    model = build_model(cfg, small_graph, seed=0)
+    monkeypatch.setattr(models, "spmm", counted)
+    model.forward(small_graph.features)
+    assert calls == []
+    model.forward(small_graph.features.copy())
+    assert len(calls) == 4
 
 
 def test_snapshot_restore_round_trip(small_graph):

@@ -1,5 +1,6 @@
-"""Smoke runs of the experiment scripts at a tiny size."""
+"""Smoke runs of the experiment scripts at a tiny size, and a check of the parity tool."""
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +20,27 @@ def test_script_runs(script, args, header):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert header in proc.stdout
+
+
+def _parity(old_src, new_src, mode):
+    return subprocess.run([sys.executable, str(SCRIPTS / "parity.py"), str(old_src),
+                           str(new_src), "--mode", mode, "--quick"],
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("mode", ["bits", "tolerance"])
+def test_parity_tool_sees_a_mutated_coefficient(tmp_path, mode):
+    src = SCRIPTS.parent / "src"
+    same = _parity(src, src, mode)
+    assert same.returncode == 0, same.stdout + same.stderr
+    mutant = tmp_path / "src"
+    shutil.copytree(src / "scalegraph", mutant / "scalegraph",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    models_py = mutant / "scalegraph" / "models.py"
+    text = models_py.read_text()
+    line = "_normalized(_first_scale(adj, cfg), coef=0.5)"
+    assert text.count(line) == 1
+    models_py.write_text(text.replace(line, line.replace("0.5", "0.51")))
+    moved = _parity(src, mutant, mode)
+    assert moved.returncode == 1, moved.stdout + moved.stderr
+    assert ("mismatch families/" if mode == "bits" else "FAIL") in moved.stdout

@@ -176,6 +176,48 @@ def test_spgemm_dense_oracle():
         assert np.array_equal(pat.col_indices, prod.col_indices)
 
 
+def _scipy_csr(sp, s):
+    return sp.csr_matrix((s.values, s.col_indices, s.row_offsets), shape=s.shape)
+
+
+def test_spgemm_matches_scipy_oracle():
+    sp = pytest.importorskip("scipy.sparse")
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        n, k, m = (int(v) for v in rng.integers(1, 40, size=3))
+        density = float(rng.choice([0.02, 0.1, 0.4]))
+        # positive weights: no product entry cancels to zero, which scipy would drop
+        a = random_weighted(rng, n, k, density)
+        b = random_weighted(rng, k, m, density)
+        want = (_scipy_csr(sp, a) @ _scipy_csr(sp, b)).tocsr()
+        want.sort_indices()
+        prod = spgemm(a, b, "counted")
+        assert np.array_equal(prod.row_offsets, want.indptr)
+        assert np.array_equal(prod.col_indices, want.indices)
+        assert np.allclose(prod.values, want.data, rtol=1e-12, atol=0)
+        ones = (_scipy_csr(sp, a.pattern()) @ _scipy_csr(sp, b.pattern())).tocsr()
+        ones.sort_indices()
+        pat = spgemm(a, b, "pattern")
+        assert np.array_equal(pat.row_offsets, ones.indptr)
+        assert np.array_equal(pat.col_indices, ones.indices)
+        assert np.all(pat.values == 1.0)
+
+
+def test_sym_normalize_matches_scipy_oracle():
+    sp = pytest.importorskip("scipy.sparse")
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        n = int(rng.integers(1, 40))
+        # low fill leaves rows and columns empty; their degree term stays zero
+        s = random_weighted(rng, n, n, density=float(rng.choice([0.02, 0.1, 0.4])))
+        csr = _scipy_csr(sp, s)
+        inv_sqrt = [np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+                    for deg in (np.asarray(csr.sum(axis=1)).ravel(),
+                                np.asarray(csr.sum(axis=0)).ravel())]
+        want = (sp.diags(inv_sqrt[0]) @ csr @ sp.diags(inv_sqrt[1])).toarray()
+        assert np.allclose(sym_normalize(s).to_dense(), want, rtol=1e-14, atol=0)
+
+
 def test_spgemm_dimension_mismatch():
     a = SparseMatrix.empty(2, 3)
     b = SparseMatrix.empty(2, 3)
