@@ -312,6 +312,10 @@ class DirectionProfile:
             raise ValueError("no_in_fraction must be in [0, 1)")
 
 
+# random draws per chunk of generate_dsbm (8 MB of float64); n <= 1024 is one chunk
+_DSBM_CHUNK_CELLS = 1 << 20
+
+
 def generate_dsbm(n, n_classes, p_in, p_out, profile=DirectionProfile(),
                   feature_noise=0.1, seed=0) -> DirectedGraph:
     """Directed stochastic block model with one-hot-plus-noise features.
@@ -319,7 +323,8 @@ def generate_dsbm(n, n_classes, p_in, p_out, profile=DirectionProfile(),
     Class sizes are as equal as possible and exact. Edge (u, v) appears with
     probability ``p_in`` when labels match and ``p_out`` otherwise; the
     direction profile may then forbid in-edges for a fixed node subset.
-    Fully deterministic under ``seed``.
+    Fully deterministic under ``seed``. The edges are drawn in row chunks, so
+    memory is O(n + edges) beyond a fixed chunk of draws.
     """
     if not (0 <= p_in <= 1 and 0 <= p_out <= 1):
         raise ValueError("edge probabilities must be in [0, 1]")
@@ -329,25 +334,31 @@ def generate_dsbm(n, n_classes, p_in, p_out, profile=DirectionProfile(),
     sizes = [n // n_classes + (1 if c < n % n_classes else 0) for c in range(n_classes)]
     labels = np.repeat(np.arange(n_classes), sizes)
 
-    same = labels[:, None] == labels[None, :]
-    prob = np.where(same, p_in, p_out)
-    np.fill_diagonal(prob, 0.0)
-    dense = rng.random((n, n)) < prob
-
+    starved = np.zeros(n, dtype=bool)
     if profile.signal == "out" and profile.no_in_fraction > 0:
-        starved = np.zeros(n, dtype=bool)
         start = 0
         for size in sizes:
             k = int(np.floor(profile.no_in_fraction * size))
             starved[start:start + k] = True
             start += size
-        dense[:, starved] = False
+
+    # row chunks of at most _DSBM_CHUNK_CELLS draws; successive draws continue
+    # one stream, so every chunking gives the same graph and the same features
+    rows_per_chunk = max(1, _DSBM_CHUNK_CELLS // n)
+    keys = []
+    for r0 in range(0, n, rows_per_chunk):
+        r1 = min(n, r0 + rows_per_chunk)
+        prob = np.where(labels[r0:r1, None] == labels[None, :], p_in, p_out)
+        prob[np.arange(r1 - r0), np.arange(r0, r1)] = 0.0
+        hit = rng.random((r1 - r0, n)) < prob
+        hit[:, starved] = False
+        # flat indices of the mask are row-major keys, already sorted and unique
+        keys.append(np.flatnonzero(hit) + np.int64(r0) * n)
 
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), labels] = 1.0
     features = onehot + rng.normal(0.0, feature_noise, size=(n, n_classes))
-    # flat indices of the mask are the row-major keys, already sorted and unique
-    keys = np.flatnonzero(dense)
+    keys = np.concatenate(keys)
     adj = _from_sorted_keys(n, n, keys, np.ones(len(keys)))
     return DirectedGraph(adj, features, labels, n_classes)
 

@@ -107,7 +107,7 @@ class SparseMatrix:
         dst = np.asarray(dst, dtype=np.int64)
         if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
             raise ValueError("edge endpoint out of range")
-        keys = np.unique(src * np.int64(n) + dst)
+        keys = _sorted_unique(src * np.int64(n) + dst)
         return _from_sorted_keys(n, n, keys, np.ones(len(keys)))
 
     @staticmethod
@@ -192,6 +192,18 @@ class SparseMatrix:
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
 
 
+def _sorted_unique(keys):
+    """Sorted distinct values of an integer array.
+
+    Not ``np.unique``: numpy 2.4's hashes, then sorts, and took 0.8 s on
+    1M int64 keys where this takes 15 ms.
+    """
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 def _from_sorted_keys(n_rows, n_cols, keys, values):
     """CSR from flat keys ``row * n_cols + col`` that are sorted and unique."""
     keys = np.asarray(keys, dtype=np.int64)
@@ -233,48 +245,63 @@ def transpose(s: SparseMatrix) -> SparseMatrix:
     return out
 
 
-def spgemm(a: SparseMatrix, b: SparseMatrix, semiring: str = "counted") -> SparseMatrix:
-    """Sparse-sparse product with a per-row dense accumulator.
+# A row block of ``spgemm`` expands at most this many products (8 MB per int64
+# array), unless one row alone has more and gets a block to itself.
+_SPGEMM_MAX_PRODUCTS = 1 << 20
 
-    ``counted`` gives the exact real product; ``pattern`` gives its structural
-    support with all values 1. Structural zeros that arise from numerical
-    cancellation are kept, so both semirings always share the same support.
+
+def spgemm(a: SparseMatrix, b: SparseMatrix, semiring: str = "counted") -> SparseMatrix:
+    """Sparse-sparse product: Gustavson's row-wise product over blocks of rows.
+
+    Each block expands every product ``a_ik * b_kj`` of its rows at once and
+    finds its sorted output keys ``row * n_cols + col`` by sorting the
+    products' keys and dropping repeats. A block is bounded by a product
+    budget and holds at least one row.
+
+    ``counted`` gives the exact real product; each entry sums its terms in the
+    order of ``a``'s entries, starting from 0.0. ``pattern`` gives its
+    structural support with all values 1. Structural zeros that arise from
+    numerical cancellation are kept, so both semirings always share the same
+    support.
     """
     if a.n_cols != b.n_rows:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
     if semiring not in ("counted", "pattern"):
         raise ValueError(f"unknown semiring: {semiring!r}")
-    acc = np.zeros(b.n_cols)
-    out_cols = []
-    out_vals = []
-    offsets = np.zeros(a.n_rows + 1, dtype=np.int64)
+    n_rows, n_cols = a.n_rows, b.n_cols
     counted = semiring == "counted"
-    for i in range(a.n_rows):
-        lo, hi = a.row_offsets[i], a.row_offsets[i + 1]
-        parts = []
-        for t in range(lo, hi):
-            k = a.col_indices[t]
-            blo, bhi = b.row_offsets[k], b.row_offsets[k + 1]
-            if blo == bhi:
-                continue
-            bcols = b.col_indices[blo:bhi]
-            parts.append(bcols)
+    b_len = np.diff(b.row_offsets)
+    # products up to the end of each entry of a, and before each row of a
+    entry_end = np.cumsum(b_len[a.col_indices])
+    row_start = np.concatenate(([0], entry_end))[a.row_offsets]
+    out_keys, out_vals = [], []
+    r0 = 0
+    while r0 < n_rows:
+        # rows [r0, r1) fit the product budget; a hub row gets a block alone
+        r1 = int(np.searchsorted(row_start, row_start[r0] + _SPGEMM_MAX_PRODUCTS,
+                                 side="right")) - 1
+        r1 = min(n_rows, max(r0 + 1, r1))
+        lo, hi = a.row_offsets[r0], a.row_offsets[r1]
+        n_prod = int(row_start[r1] - row_start[r0])
+        if n_prod:
+            k = a.col_indices[lo:hi]
+            lens = b_len[k]
+            # position in b of every product, in (entry of a, entry of b) order
+            shift = b.row_offsets[k] - (entry_end[lo:hi] - lens - row_start[r0])
+            bpos = np.repeat(shift, lens) + np.arange(n_prod, dtype=np.int64)
+            rows = np.repeat(np.arange(r1 - r0, dtype=np.int64), np.diff(row_start[r0:r1 + 1]))
+            keys = rows * np.int64(n_cols) + b.col_indices[bpos]
+            uniq = _sorted_unique(keys)
             if counted:
-                acc[bcols] += a.values[t] * b.values[blo:bhi]
-        if parts:
-            cols = np.unique(np.concatenate(parts))
-            if counted:
-                out_vals.append(acc[cols].copy())
-                acc[cols] = 0.0
-            else:
-                out_vals.append(np.ones(len(cols)))
-            out_cols.append(cols)
-            offsets[i + 1] = offsets[i] + len(cols)
-        else:
-            offsets[i + 1] = offsets[i]
-    cols = np.concatenate(out_cols) if out_cols else np.zeros(0, dtype=np.int64)
-    vals = np.concatenate(out_vals) if out_vals else np.zeros(0)
-    return SparseMatrix(a.n_rows, b.n_cols, offsets, cols, vals)
+                terms = np.repeat(a.values[lo:hi], lens) * b.values[bpos]
+                # bincount adds each cell's terms in array order, from 0.0
+                out_vals.append(np.bincount(np.searchsorted(uniq, keys), weights=terms,
+                                            minlength=len(uniq)))
+            out_keys.append(uniq + np.int64(r0) * n_cols)
+        r0 = r1
+    keys = np.concatenate(out_keys) if out_keys else np.zeros(0, dtype=np.int64)
+    vals = np.concatenate(out_vals) if counted and out_vals else np.ones(len(keys))
+    return _from_sorted_keys(n_rows, n_cols, keys, vals)
 
 
 def _require_same_shape(a, b):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scalegraph import graphdata
 from scalegraph.graphdata import (
     DataError,
     DirectedGraph,
@@ -210,6 +211,22 @@ def test_dsbm_adjacency_is_canonical_pattern():
               generate_dsbm(5, 5, 0.0, 0.0, seed=0)):
         assert g.adjacency == SparseMatrix.from_dense(g.adjacency.to_dense())
         assert np.all(g.adjacency.values == 1.0)
+
+
+@pytest.mark.parametrize("profile", [DirectionProfile(),
+                                     DirectionProfile(signal="out", no_in_fraction=0.3)])
+def test_dsbm_chunked_draws_match_one_chunk(monkeypatch, profile):
+    for args in ((70, 4, 0.2, 0.03), (30, 3, 1.0, 0.0)):
+        one = generate_dsbm(*args, profile=profile, seed=5)  # 70 x 70 draws: one chunk
+        # one row per chunk, two rows, and uneven chunks of 12 rows
+        for cells in (1, 150, 900):
+            monkeypatch.setattr(graphdata, "_DSBM_CHUNK_CELLS", cells)
+            g = generate_dsbm(*args, profile=profile, seed=5)
+            assert g.adjacency == one.adjacency
+            assert np.array_equal(g.features, one.features)
+            assert np.array_equal(g.labels, one.labels)
+            assert not np.any(g.adjacency.diagonal())
+        monkeypatch.undo()
 
 
 def test_dsbm_pure_intra_when_p_out_zero():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalegraph import sparse
 from scalegraph.sparse import (
     SparseMatrix,
     add_self_loops,
@@ -44,6 +45,12 @@ def test_from_edges_collapses_duplicates():
     s = SparseMatrix.from_edges(3, [0, 0, 2], [1, 1, 0])
     assert s.nnz == 2
     assert np.all(s.values == 1.0)
+    assert SparseMatrix.from_edges(3, [], []) == SparseMatrix.empty(3, 3)
+    rng = np.random.default_rng(4)
+    src, dst = rng.integers(0, 20, size=(2, 300))
+    dense = np.zeros((20, 20))
+    dense[src, dst] = 1.0
+    assert SparseMatrix.from_edges(20, src, dst) == SparseMatrix.from_dense(dense)
 
 
 def test_diagonal_matches_dense_oracle():
@@ -232,6 +239,110 @@ def test_pattern_support_equals_counted_support():
         a = random_digraph(rng, n, 0.3)
         b = random_digraph(rng, n, 0.3)
         assert spgemm(a, b, "pattern") == spgemm(a, b, "counted").pattern()
+
+
+def reference_spgemm(a, b, semiring):
+    """Per-row dense-accumulator product: the row-blocked kernel's reference."""
+    acc = np.zeros(b.n_cols)
+    out_cols, out_vals = [], []
+    offsets = np.zeros(a.n_rows + 1, dtype=np.int64)
+    for i in range(a.n_rows):
+        parts = []
+        for t in range(a.row_offsets[i], a.row_offsets[i + 1]):
+            k = a.col_indices[t]
+            blo, bhi = b.row_offsets[k], b.row_offsets[k + 1]
+            if blo == bhi:
+                continue
+            bcols = b.col_indices[blo:bhi]
+            parts.append(bcols)
+            if semiring == "counted":
+                acc[bcols] += a.values[t] * b.values[blo:bhi]
+        cols = np.unique(np.concatenate(parts)) if parts else np.zeros(0, dtype=np.int64)
+        if semiring == "counted":
+            out_vals.append(acc[cols].copy())
+            acc[cols] = 0.0
+        else:
+            out_vals.append(np.ones(len(cols)))
+        out_cols.append(cols)
+        offsets[i + 1] = offsets[i] + len(cols)
+    cols = np.concatenate(out_cols) if out_cols else np.zeros(0, dtype=np.int64)
+    vals = np.concatenate(out_vals) if out_vals else np.zeros(0)
+    return SparseMatrix(a.n_rows, b.n_cols, offsets, cols, vals)
+
+
+# large and small magnitudes, signs and -0.0: any change in summation order shows
+SIGNED_VALUES = np.array([1.0, -1.0, 0.5, -2.5, 3.0, 1e16, -1e16, 1e-3, -0.0])
+
+
+def random_signed(rng, n_rows, n_cols, density):
+    rows, cols = np.nonzero(rng.random((n_rows, n_cols)) < density)
+    return SparseMatrix.from_coo(n_rows, n_cols, rows, cols,
+                                 rng.choice(SIGNED_VALUES, size=len(rows)))
+
+
+def assert_matches_reference(a, b):
+    for semiring in ("counted", "pattern"):
+        got, want = spgemm(a, b, semiring), reference_spgemm(a, b, semiring)
+        assert got == want
+        assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
+
+
+@pytest.mark.parametrize("max_products", [
+    1 << 20,  # the shipped budget
+    25,       # a few rows per block, split mid-matrix
+    9,
+    1,        # one row per block
+])
+def test_spgemm_matches_row_loop_reference(monkeypatch, max_products):
+    monkeypatch.setattr(sparse, "_SPGEMM_MAX_PRODUCTS", max_products)
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        n, k, m = (int(v) for v in rng.integers(1, 30, size=3))
+        density = float(rng.choice([0.03, 0.15, 0.5]))  # low fill leaves rows empty
+        assert_matches_reference(random_signed(rng, n, k, density),
+                                 random_signed(rng, k, m, density))
+
+
+def test_spgemm_edge_shapes(monkeypatch):
+    monkeypatch.setattr(sparse, "_SPGEMM_MAX_PRODUCTS", 4)
+    rng = np.random.default_rng(22)
+    for n, k, m in [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (1, 1, 1), (5, 1, 7),
+                    (1, 6, 1), (7, 2, 3), (2, 9, 11)]:
+        for density in (0.0, 0.4, 1.0):
+            a, b = random_signed(rng, n, k, density), random_signed(rng, k, m, density)
+            assert_matches_reference(a, b)
+            assert spgemm(a, b).shape == (n, m)
+    # rows of a that hit only empty rows of b, and a b with one full column
+    a = SparseMatrix.from_coo(4, 3, [0, 1, 3, 3], [1, 1, 0, 2])
+    b = SparseMatrix.from_coo(3, 5, [0, 2], [4, 4], [2.0, -0.0])
+    assert_matches_reference(a, b)
+    assert spgemm(a, b).nnz == 1
+
+
+def test_spgemm_hub_row_exceeding_product_budget(monkeypatch):
+    monkeypatch.setattr(sparse, "_SPGEMM_MAX_PRODUCTS", 16)
+    rng = np.random.default_rng(23)
+    a = random_signed(rng, 12, 10, 0.2)
+    hub = SparseMatrix.from_coo(1, 10, np.zeros(10, dtype=int), np.arange(10),
+                                rng.choice(SIGNED_VALUES, size=10))
+    # row 5 of a is the hub: 10 entries times 8-entry rows of b, 80 products
+    dense = a.to_dense()
+    dense[5] = hub.to_dense()[0]
+    a = SparseMatrix.from_dense(dense)
+    b = random_signed(rng, 10, 8, 1.0)
+    assert_matches_reference(a, b)
+    assert spgemm(a, b, "pattern").row(5).tolist() == list(range(8))
+
+
+def test_spgemm_keeps_cancelled_entry_in_support():
+    a = SparseMatrix.from_coo(2, 2, [0, 0, 1], [0, 1, 1], [1.0, 1.0, 2.0])
+    b = SparseMatrix.from_coo(2, 2, [0, 1, 1], [0, 0, 1], [1.0, -1.0, 3.0])
+    prod = spgemm(a, b, "counted")
+    assert prod.shape == (2, 2) and prod.nnz == 4
+    assert prod.to_dense().tolist() == [[0.0, 3.0], [-2.0, 6.0]]
+    assert not np.signbit(prod.values[0])
+    assert spgemm(a, b, "pattern") == prod.pattern()
+    assert_matches_reference(a, b)
 
 
 # -- pattern set algebra ------------------------------------------------------
