@@ -74,52 +74,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return make_node(a.data @ b.data, (a, b), backward)
 
 
-# dense-kernel dispatch: beyond this fill ratio the gather/segment-sum path is
-# memory-bound and a cached dense BLAS product wins; capped so the cache stays small
-_DENSE_DISPATCH_FILL = 0.05
-_DENSE_DISPATCH_MAX_CELLS = 8_000_000
-# from this many stored entries the column-major segmented sum is used: by
-# scripts/spmm_crossover.py it is 0.64-1.6x the row-major gather + 2-D reduceat
-# at 2k-4k nnz, 0.97-1.2x at 8k for d = 16 and 1.4-2.6x for d >= 32, and faster
-# at every d from 12k (1.8-2.6x at 1M). Kept >= _DENSE_DISPATCH_FILL * 300**2 =
-# 4500 so every sparse-path matrix of an n = 300 graph keeps the row-major kernel.
-_SEGMENT_SUM_MIN_NNZ = 8192
 # elements in one column-major gather block (8 MB of float64), so its memory
 # does not grow with nnz * d
 _SEGMENT_SUM_BUDGET = 1 << 20
 
 
 def _spmm_data(s: SparseMatrix, x: np.ndarray) -> np.ndarray:
+    """``s @ x``: row sums of ``values * x[col_indices]``, a column group at a time.
+
+    Each group is gathered from a contiguous ``x.T`` into a (g, nnz) block of at
+    most ``_SEGMENT_SUM_BUDGET`` elements (one column at least) and summed by one
+    1-D ``reduceat`` over the flattened block; the segments start at
+    ``c * nnz + start`` for each non-empty row, and rows past the last non-empty
+    row are empty, so the segments tile the block. ``reduceat`` adds a segment's
+    first element to the pairwise sum of the rest, once per segment and column,
+    so the bits equal a row-major gather summed by a 2-D ``axis=0`` ``reduceat``;
+    ``np.add.reduce``, ``bincount`` and a dense BLAS product sum in other orders.
+    """
     if s.n_cols != x.shape[0]:
         raise ValueError(f"spmm shape mismatch: {s.shape} @ {x.shape}")
     out = np.zeros((s.n_rows, x.shape[1]))
     if s.nnz == 0:
         return out
-    cells = s.n_rows * s.n_cols
-    if cells <= _DENSE_DISPATCH_MAX_CELLS and s.nnz >= _DENSE_DISPATCH_FILL * cells:
-        return s.to_dense_cached() @ x
     nonempty = np.flatnonzero(np.diff(s.row_offsets) > 0)
     starts = s.row_offsets[nonempty]
-    if s.nnz < _SEGMENT_SUM_MIN_NNZ:
-        prod = x[s.col_indices]
-        prod *= s.values[:, None]
-        out[nonempty] = np.add.reduceat(prod, starts, axis=0)
-    else:
-        out[nonempty] = _segment_sum_columns(s, x, starts).T
-    return out
-
-
-def _segment_sum_columns(s: SparseMatrix, x: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Row sums of ``values * x[col_indices]``, one column group of x at a time.
-
-    Returns a (d, len(starts)) array. Each group is gathered from a contiguous
-    ``x.T`` into a (g, nnz) block and summed by one 1-D ``reduceat`` over the
-    flattened block; the segments start at ``c * nnz + start``. Rows past the
-    last non-empty row are empty, so the segments tile the block. Both this and
-    the 2-D ``axis=0`` form run the add loop once per segment and column (the
-    first element plus the pairwise sum of the rest), so the bits are the same;
-    ``np.add.reduce``, ``bincount`` and BLAS sum in other orders.
-    """
     xt = np.ascontiguousarray(x.T)
     sums = np.empty((xt.shape[0], len(starts)))
     step = max(1, _SEGMENT_SUM_BUDGET // s.nnz)
@@ -128,7 +106,8 @@ def _segment_sum_columns(s: SparseMatrix, x: np.ndarray, starts: np.ndarray) -> 
         block *= s.values
         seg = (np.arange(len(block), dtype=np.int64)[:, None] * s.nnz + starts).ravel()
         sums[c0:c0 + step] = np.add.reduceat(block.ravel(), seg).reshape(len(block), -1)
-    return sums
+    out[nonempty] = sums.T
+    return out
 
 
 def spmm(s: SparseMatrix, x: Tensor) -> Tensor:

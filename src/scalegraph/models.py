@@ -268,7 +268,8 @@ class Model:
     ``inputs``, layer 1's propagated inputs P_c = sum_k c_k * S_k X, one per
     channel (X itself for the empty channel), which costs channels x n x d floats.
     ``forward`` uses them when it is given that same array; any other array
-    takes the sparse path in layer 1 and gives the same logits up to rounding.
+    takes the sparse path in layer 1 and gives the same logits up to rounding,
+    since (S X) W and S (X W) add their terms in different orders.
     """
 
     def __init__(self, cfg: ModelConfig, layers, n_classes, rng, features):

@@ -35,8 +35,7 @@ class SparseMatrix:
       * all column indices are < ``n_cols`` and all values are finite.
     """
 
-    __slots__ = ("n_rows", "n_cols", "row_offsets", "col_indices", "values",
-                 "_t_cache", "_dense_cache")
+    __slots__ = ("n_rows", "n_cols", "row_offsets", "col_indices", "values", "_t_cache")
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values):
         self.n_rows = int(n_rows)
@@ -45,7 +44,6 @@ class SparseMatrix:
         self.col_indices = np.ascontiguousarray(col_indices, dtype=np.int64)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self._t_cache = None
-        self._dense_cache = None
         self._check()
         for arr in (self.row_offsets, self.col_indices, self.values):
             arr.flags.writeable = False
@@ -155,14 +153,6 @@ class SparseMatrix:
         out[rows, self.col_indices] = self.values
         return out
 
-    def to_dense_cached(self):
-        """Read-only dense view, memoized; for repeated dense-kernel dispatch."""
-        if self._dense_cache is None:
-            dense = self.to_dense()
-            dense.flags.writeable = False
-            self._dense_cache = dense
-        return self._dense_cache
-
     def diagonal(self):
         """Main diagonal in O(nnz); None for a non-square matrix."""
         if not self.is_square():
@@ -226,7 +216,7 @@ def transpose(s: SparseMatrix) -> SparseMatrix:
     """Exact CSR transpose (a sort of the unique keys ``col * n_rows + row``), memoized.
 
     A matrix exactly equal to its transpose is returned itself, so a symmetric
-    matrix keeps one CSR copy and one dense cache.
+    matrix keeps one CSR copy.
     """
     if s._t_cache is _SYMMETRIC:
         return s
@@ -312,21 +302,21 @@ def _require_same_shape(a, b):
 def pattern_union(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Set-union of supports, values 1."""
     _require_same_shape(a, b)
-    keys = np.union1d(a._keys(), b._keys())
+    keys = _sorted_unique(np.concatenate([a._keys(), b._keys()]))
     return _from_sorted_keys(a.n_rows, a.n_cols, keys, np.ones(len(keys)))
 
 
 def pattern_intersection(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Set-intersection of supports, values 1."""
     _require_same_shape(a, b)
-    keys = np.intersect1d(a._keys(), b._keys())
+    keys = np.intersect1d(a._keys(), b._keys(), assume_unique=True)
     return _from_sorted_keys(a.n_rows, a.n_cols, keys, np.ones(len(keys)))
 
 
 def pattern_difference(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Support of ``a`` minus support of ``b``, values 1."""
     _require_same_shape(a, b)
-    keys = np.setdiff1d(a._keys(), b._keys())
+    keys = np.setdiff1d(a._keys(), b._keys(), assume_unique=True)
     return _from_sorted_keys(a.n_rows, a.n_cols, keys, np.ones(len(keys)))
 
 

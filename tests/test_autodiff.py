@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,8 +106,7 @@ def _assert_same_bits(got, want):
 
 
 def _random_sparse(rng, n_rows, n_cols, nnz, heavy_rows=None):
-    """Weighted matrix of about ``nnz`` entries with signed values; the tests
-    keep its fill under 5% so ``_spmm_data`` does not take the dense branch.
+    """Weighted matrix of ``nnz`` random draws (repeats summed) with signed values.
     With ``heavy_rows``, every entry lies in that many rows spread over the matrix."""
     if heavy_rows is None:
         rows = rng.integers(0, n_rows, size=nnz)
@@ -118,35 +118,32 @@ def _random_sparse(rng, n_rows, n_cols, nnz, heavy_rows=None):
 
 
 @pytest.mark.parametrize("n,nnz,d,heavy_rows", [
-    (300, 2_000, 32, None),      # below the column-major threshold
-    (600, 9_000, 16, None),      # just above it
+    (300, 2_000, 32, None),
+    (600, 9_000, 16, None),
     (3_000, 60_000, 40, None),   # several column groups of the 1M-element budget
     (2_000, 20_000, 1, None),
     (2_000, 12_000, 3, 12),      # rows of ~1000 entries: reduceat's pairwise recursion
+    (300, 20_000, 5, None),      # a grid-desk second-scale word: ~18k nnz, 20% fill
 ])
 def test_spmm_kernels_match_reduceat_bits(n, nnz, d, heavy_rows):
     rng = np.random.default_rng(n + d)
     s = _random_sparse(rng, n, n, nnz, heavy_rows)
-    assert s.nnz < autodiff._DENSE_DISPATCH_FILL * n * n
     x = rng.normal(size=(n, d))
     _assert_same_bits(autodiff._spmm_data(s, x), _reduceat_spmm(s, x))
 
 
 @pytest.fixture
 def column_major(monkeypatch):
-    """Send every sparse-path SpMM through the column-major kernel, in groups
-    of at most ``budget // nnz`` columns."""
-    def force(budget=autodiff._SEGMENT_SUM_BUDGET):
-        monkeypatch.setattr(autodiff, "_SEGMENT_SUM_MIN_NNZ", 0)
+    """Split every SpMM into groups of at most ``budget // nnz`` columns."""
+    def force(budget):
         monkeypatch.setattr(autodiff, "_SEGMENT_SUM_BUDGET", budget)
     return force
 
 
-def test_column_major_sums_like_reduceat(column_major):
+def test_column_major_sums_like_reduceat():
     # reduceat adds a segment's first element to the pairwise sum of the rest:
     # 1e16 + 40 here, where a left-to-right sum (bincount) gives 1e16, a
     # pairwise np.add.reduce 1e16 + 36 and a BLAS dot 1e16 + 32
-    column_major()
     n = 200
     row = np.array([1e16] + [1.0] * 40)
     s = SparseMatrix.from_coo(n, n, np.zeros(41, dtype=np.int64), np.arange(41), np.ones(41))
@@ -194,7 +191,8 @@ def test_column_major_edge_shapes(column_major):
 @pytest.mark.parametrize("budget", [None, 700])
 def test_column_major_reads_non_contiguous_x(column_major, budget):
     rng = np.random.default_rng(4)
-    column_major(**({} if budget is None else {"budget": budget}))
+    if budget is not None:
+        column_major(budget)
     s = _random_sparse(rng, 80, 90, 300)
     wide = rng.normal(size=(90, 24))
     # an F-order array, and a column slice like one piece of a jk_cat gradient
@@ -205,8 +203,8 @@ def test_column_major_reads_non_contiguous_x(column_major, budget):
 
 @pytest.mark.parametrize("n,nnz,d", [(300, 2_000, 5), (700, 12_000, 6)])
 def test_spmm_sparse_paths_match_dense_oracle(n, nnz, d):
-    # test_spmm_dense_oracle's small graphs take the dense branch; these
-    # matrices take the row-major and the column-major sparse kernels
+    # test_spmm_dense_oracle's graphs have at most 11 nodes; these are larger
+    # weighted matrices, and the gradient goes through the transpose
     rng = np.random.default_rng(nnz)
     s = _random_sparse(rng, n, n, nnz)
     dense = s.to_dense()
@@ -221,11 +219,28 @@ def test_spmm_sparse_paths_match_dense_oracle(n, nnz, d):
 def test_spmm_matches_scipy_oracle():
     sp = pytest.importorskip("scipy.sparse")
     rng = np.random.default_rng(6)
-    for n, nnz, d in [(300, 2_000, 8), (600, 9_000, 17)]:
+    for n, nnz, d in [(300, 2_000, 8), (600, 9_000, 17), (300, 20_000, 5)]:
         s = _random_sparse(rng, n, n, nnz)
         csr = sp.csr_matrix((s.values, s.col_indices, s.row_offsets), shape=s.shape)
         x = rng.normal(size=(n, d))
         assert np.allclose(autodiff._spmm_data(s, x), csr @ x, rtol=1e-12, atol=1e-12)
+
+
+def test_spmm_memory_stays_below_a_dense_copy():
+    # a dense n x n copy alone would be n^2 * 8 bytes; the kernel's gather
+    # block is bounded by _SEGMENT_SUM_BUDGET elements whatever the fill
+    rng = np.random.default_rng(15)
+    n = 2_000
+    s = _random_sparse(rng, n, n, 230_000)
+    assert s.nnz >= 0.05 * n * n
+    x = rng.normal(size=(n, 5))
+    tracemalloc.start()
+    try:
+        autodiff._spmm_data(s, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 2
 
 
 class _Untransposable(np.ndarray):

@@ -214,7 +214,7 @@ def family_builds(monkeypatch):
 
 
 def graph_state(g):
-    return {k: id(v) for k, v in vars(g).items()}, g.adjacency._t_cache, g.adjacency._dense_cache
+    return {k: id(v) for k, v in vars(g).items()}, g.adjacency._t_cache
 
 
 def test_cross_validate_builds_one_matrix_family(toy, family_builds):
