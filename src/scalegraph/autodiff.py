@@ -7,6 +7,9 @@ Every op validates that its output is finite; NaN/Inf is always an error here.
 """
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,22 +77,69 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return make_node(a.data @ b.data, (a, b), backward)
 
 
-# elements in one column-major gather block (8 MB of float64), so its memory
-# does not grow with nnz * d
-_SEGMENT_SUM_BUDGET = 1 << 20
+# entries in one SpMM tile: its products, column indices and values (1.5 MB)
+# stay in a 2 MB L2 cache, where 2^15 and 2^17 timed slower on a 1M-entry
+# product; a row with more entries gets a tile of its own
+_TILE_ENTRIES = 1 << 16
+
+
+def _cpu_count():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+# one SpMM worker thread per CPU this process may run on (``taskset`` limits it)
+_WORKERS = _cpu_count()
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _spmm_pool():
+    """The worker threads, started on first use rather than at import."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="spmm")
+        return _pool
+
+
+def _forget_pool():
+    # a forked child inherits the executor but none of its threads, so its
+    # next submit would wait forever on workers that do not exist
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _spmm_data(s: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """``s @ x``: row sums of ``values * x[col_indices]``, a column group at a time.
+    """``s @ x``: row sums of ``values * x[col_indices]``, one cache-sized tile at a time.
 
-    Each group is gathered from a contiguous ``x.T`` into a (g, nnz) block of at
-    most ``_SEGMENT_SUM_BUDGET`` elements (one column at least) and summed by one
-    1-D ``reduceat`` over the flattened block; the segments start at
-    ``c * nnz + start`` for each non-empty row, and rows past the last non-empty
-    row are empty, so the segments tile the block. ``reduceat`` adds a segment's
-    first element to the pairwise sum of the rest, once per segment and column,
-    so the bits equal a row-major gather summed by a 2-D ``axis=0`` ``reduceat``;
+    A tile is one column of ``x`` times a run of whole non-empty rows holding at
+    most ``_TILE_ENTRIES`` entries (a longer row is a run of its own). Each tile
+    gathers its column from a contiguous ``x.T`` into a buffer, scales it by
+    ``values`` and sums it with one 1-D ``reduceat`` whose segments start at
+    each row's start inside the run; the segments tile the buffer. ``reduceat``
+    adds a segment's first element to the pairwise sum of the rest, once per
+    segment and column, so the bits equal a row-major gather summed by a 2-D
+    ``axis=0`` ``reduceat``, however the rows are cut into runs;
     ``np.add.reduce``, ``bincount`` and a dense BLAS product sum in other orders.
+
+    Tiles are ordered run by run, each run's columns in turn, and dealt
+    round-robin to up to ``_WORKERS`` pool threads; ``take``, ``multiply`` and
+    ``reduceat`` release the GIL. A worker's consecutive tiles mostly share a
+    run, so its indices and values are read from memory once and then from
+    cache. A product whose rows make a single run stays on the calling thread.
+    Every buffer is allocated here, by the calling thread: what a worker
+    allocates stays resident in its thread's malloc arena. For that reason a
+    worker copies each run's column indices into a writable buffer (``take``
+    copies read-only indices) and gathers with ``mode="clip"``
+    (``mode="raise"`` copies ``out``); the indices are in range.
     """
     if s.n_cols != x.shape[0]:
         raise ValueError(f"spmm shape mismatch: {s.shape} @ {x.shape}")
@@ -98,14 +148,42 @@ def _spmm_data(s: SparseMatrix, x: np.ndarray) -> np.ndarray:
         return out
     nonempty = np.flatnonzero(np.diff(s.row_offsets) > 0)
     starts = s.row_offsets[nonempty]
+    limits = np.append(starts, s.nnz)
+    bounds = [0]  # the runs of rows, as indices into ``starts``
+    while bounds[-1] < len(starts):
+        r0 = bounds[-1]
+        r1 = int(np.searchsorted(limits[1:], starts[r0] + _TILE_ENTRIES, side="right"))
+        bounds.append(max(r1, r0 + 1))
+    edges = limits[bounds]  # each run's first entry, then nnz
+    local = starts - np.repeat(edges[:-1], np.diff(bounds))
+    width = int(np.diff(edges).max())
     xt = np.ascontiguousarray(x.T)
     sums = np.empty((xt.shape[0], len(starts)))
-    step = max(1, _SEGMENT_SUM_BUDGET // s.nnz)
-    for c0 in range(0, xt.shape[0], step):
-        block = xt[c0:c0 + step].take(s.col_indices, axis=1)
-        block *= s.values
-        seg = (np.arange(len(block), dtype=np.int64)[:, None] * s.nnz + starts).ravel()
-        sums[c0:c0 + step] = np.add.reduceat(block.ravel(), seg).reshape(len(block), -1)
+    tiles = [(k, c) for k in range(len(bounds) - 1) for c in range(xt.shape[0])]
+
+    def sum_tiles(share, buf, index_buf):
+        run = None
+        for k, c in share:
+            e0, e1 = edges[k], edges[k + 1]
+            cols = index_buf[:e1 - e0]
+            if k != run:
+                cols[...] = s.col_indices[e0:e1]
+                run = k
+            prod = np.take(xt[c], cols, out=buf[:e1 - e0], mode="clip")
+            prod *= s.values[e0:e1]
+            np.add.reduceat(prod, local[bounds[k]:bounds[k + 1]],
+                            out=sums[c, bounds[k]:bounds[k + 1]])
+
+    workers = min(_WORKERS, len(tiles)) if len(bounds) > 2 else 1
+    buffers = [(np.empty(width), np.empty(width, dtype=np.intp)) for _ in range(workers)]
+    if workers == 1:
+        sum_tiles(tiles, *buffers[0])
+    else:
+        pool = _spmm_pool()
+        futures = [pool.submit(sum_tiles, tiles[w::workers], *buffers[w])
+                   for w in range(workers)]
+        for future in futures:
+            future.result()
     out[nonempty] = sums.T
     return out
 

@@ -64,18 +64,18 @@ def build_scaled_adjacency(adj: SparseMatrix, spec: ScaleSpec) -> ScaledGraph:
     if not adj.is_square():
         raise ValueError("adjacency must be square")
     a = adj.pattern()
-    at = None
-    result = None
-    for ch in spec.word:
-        if ch == "T":
-            if at is None:
-                at = transpose(a)
-            factor = at
-        else:
-            factor = a
-        result = factor if result is None else spgemm(result, factor, "pattern")
-    result = apply_selfloop_mode(result, spec.selfloop_mode)
+    at = transpose(a) if "T" in spec.word else None
+    result = apply_selfloop_mode(_word_product(a, at, spec.word), spec.selfloop_mode)
     return ScaledGraph(spec=spec, matrix=result)
+
+
+def _word_product(a: SparseMatrix, at: SparseMatrix | None, word: str) -> SparseMatrix:
+    """Left-to-right pattern product of ``word``, with ``a`` for A and ``at`` for T."""
+    result = None
+    for ch in word:
+        factor = at if ch == "T" else a
+        result = factor if result is None else spgemm(result, factor, "pattern")
+    return result
 
 
 def meeting_matrix(adj: SparseMatrix, k: int, prune_generated_selfloops: bool = True) -> SparseMatrix:
@@ -138,10 +138,14 @@ def model_matrix_family(adj: SparseMatrix, selfloop_mode: str = "keep",
     """
     if second_scale_selfloops not in ("keep", "remove"):
         raise ValueError("second_scale_selfloops must be 'keep' or 'remove'")
+    if not adj.is_square():
+        raise ValueError("adjacency must be square")
+    a = adj.pattern()
+    at = transpose(a)  # one sort of A's keys serves T, AT, TA and TT
     out = {}
     for word in MODEL_WORDS:
         mode = selfloop_mode if len(word) == 1 else second_scale_selfloops
-        out[word] = build_scaled_adjacency(adj, ScaleSpec(word, mode)).matrix
+        out[word] = apply_selfloop_mode(_word_product(a, at, word), mode)
     return out
 
 

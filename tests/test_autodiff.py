@@ -1,4 +1,10 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -120,23 +126,49 @@ def _random_sparse(rng, n_rows, n_cols, nnz, heavy_rows=None):
 @pytest.mark.parametrize("n,nnz,d,heavy_rows", [
     (300, 2_000, 32, None),
     (600, 9_000, 16, None),
-    (3_000, 60_000, 40, None),   # several column groups of the 1M-element budget
+    (3_000, 60_000, 40, None),   # one run of rows, forty column tiles
     (2_000, 20_000, 1, None),
     (2_000, 12_000, 3, 12),      # rows of ~1000 entries: reduceat's pairwise recursion
     (300, 20_000, 5, None),      # a grid-desk second-scale word: ~18k nnz, 20% fill
+    (20_000, 300_000, 6, None),  # five runs of rows at the shipped tile size
+    (4_000, 150_000, 3, 2),      # two rows of ~75k entries, each longer than a tile
 ])
-def test_spmm_kernels_match_reduceat_bits(n, nnz, d, heavy_rows):
+def test_spmm_kernels_match_reduceat_bits(monkeypatch, n, nnz, d, heavy_rows):
     rng = np.random.default_rng(n + d)
     s = _random_sparse(rng, n, n, nnz, heavy_rows)
     x = rng.normal(size=(n, d))
-    _assert_same_bits(autodiff._spmm_data(s, x), _reduceat_spmm(s, x))
+    want = _reduceat_spmm(s, x)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(autodiff, "_WORKERS", workers)
+        _assert_same_bits(autodiff._spmm_data(s, x), want)
+
+
+def test_spmm_tiles_under_more_workers_than_cpus(monkeypatch):
+    # six threads over 64-entry tiles, switching as often as the interpreter
+    # allows: a tile summed twice, skipped or written into another's rows
+    # changes the bits
+    monkeypatch.setattr(autodiff, "_WORKERS", 6)
+    monkeypatch.setattr(autodiff, "_TILE_ENTRIES", 64)
+    monkeypatch.setattr(autodiff, "_pool", None)
+    rng = np.random.default_rng(19)
+    s = _random_sparse(rng, 400, 400, 6_000)
+    x = rng.normal(size=(400, 7))
+    want = _reduceat_spmm(s, x)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            _assert_same_bits(autodiff._spmm_data(s, x), want)
+    finally:
+        sys.setswitchinterval(interval)
+        autodiff._spmm_pool().shutdown()
 
 
 @pytest.fixture
 def column_major(monkeypatch):
-    """Split every SpMM into groups of at most ``budget // nnz`` columns."""
-    def force(budget):
-        monkeypatch.setattr(autodiff, "_SEGMENT_SUM_BUDGET", budget)
+    """Cut every SpMM into tiles of runs of rows with at most ``tile`` entries."""
+    def force(tile):
+        monkeypatch.setattr(autodiff, "_TILE_ENTRIES", tile)
     return force
 
 
@@ -157,7 +189,7 @@ def test_column_major_sums_like_reduceat():
 
 
 def test_column_major_keeps_negative_zero_and_empty_rows(column_major):
-    column_major(budget=1)
+    column_major(tile=1)
     n = 120
     # row 0: 0.0 * -1 = -0.0 alone; row 2: -0.0 + -0.0; row 5: 2*3 + -2*3 = +0.0
     rows = np.array([0, 2, 2, 5, 5])
@@ -177,22 +209,30 @@ def test_column_major_keeps_negative_zero_and_empty_rows(column_major):
 
 def test_column_major_edge_shapes(column_major):
     rng = np.random.default_rng(3)
-    column_major(budget=50)
-    for n_rows, n_cols, nnz, d in [(40, 60, 30, 1), (60, 40, 45, 7), (50, 50, 0, 3), (1, 30, 1, 2)]:
+    column_major(tile=50)
+    for n_rows, n_cols, nnz, d in [(40, 60, 30, 1), (60, 40, 45, 7), (50, 50, 0, 3), (1, 30, 1, 2),
+                                   (90, 80, 400, 3)]:
         s = _random_sparse(rng, n_rows, n_cols, nnz)
         x = rng.normal(size=(n_cols, d))
         _assert_same_bits(autodiff._spmm_data(s, x), _reduceat_spmm(s, x))
+    # a hub row of 200 entries, four tiles long, between short rows
+    rows = np.concatenate([rng.integers(0, 60, size=150), np.full(200, 31)])
+    cols = np.concatenate([rng.integers(0, 250, size=150), np.arange(200)])
+    s = SparseMatrix.from_coo(60, 250, rows, cols, rng.normal(size=350))
+    assert np.diff(s.row_offsets)[31] >= 4 * 50
+    x = rng.normal(size=(250, 3))
+    _assert_same_bits(autodiff._spmm_data(s, x), _reduceat_spmm(s, x))
     # the last row non-empty, every earlier row empty
     s = SparseMatrix.from_coo(30, 30, [29, 29], [3, 5], [0.5, -1.5])
     x = rng.normal(size=(30, 4))
     _assert_same_bits(autodiff._spmm_data(s, x), _reduceat_spmm(s, x))
 
 
-@pytest.mark.parametrize("budget", [None, 700])
-def test_column_major_reads_non_contiguous_x(column_major, budget):
+@pytest.mark.parametrize("tile", [None, 700])
+def test_column_major_reads_non_contiguous_x(column_major, tile):
     rng = np.random.default_rng(4)
-    if budget is not None:
-        column_major(budget)
+    if tile is not None:
+        column_major(tile)
     s = _random_sparse(rng, 80, 90, 300)
     wide = rng.normal(size=(90, 24))
     # an F-order array, and a column slice like one piece of a jk_cat gradient
@@ -226,9 +266,10 @@ def test_spmm_matches_scipy_oracle():
         assert np.allclose(autodiff._spmm_data(s, x), csr @ x, rtol=1e-12, atol=1e-12)
 
 
-def test_spmm_memory_stays_below_a_dense_copy():
-    # a dense n x n copy alone would be n^2 * 8 bytes; the kernel's gather
-    # block is bounded by _SEGMENT_SUM_BUDGET elements whatever the fill
+def test_spmm_memory_stays_below_a_dense_copy(monkeypatch):
+    # a dense n x n copy alone would be n^2 * 8 bytes; the kernel gathers
+    # into one tile of _TILE_ENTRIES values and indices per worker (1 MB)
+    monkeypatch.setattr(autodiff, "_WORKERS", 2)
     rng = np.random.default_rng(15)
     n = 2_000
     s = _random_sparse(rng, n, n, 230_000)
@@ -241,6 +282,74 @@ def test_spmm_memory_stays_below_a_dense_copy():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 2
+    assert peak < 4e6
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_spmm_in_a_forked_child_does_not_hang(monkeypatch):
+    # the child inherits the pool's executor without its threads; the barrier
+    # makes the parent's fresh pool start all of them, so none is left to start
+    monkeypatch.setattr(autodiff, "_WORKERS", 2)
+    monkeypatch.setattr(autodiff, "_TILE_ENTRIES", 500)
+    monkeypatch.setattr(autodiff, "_pool", None)
+    barrier = threading.Barrier(2, timeout=10)
+    for future in [autodiff._spmm_pool().submit(barrier.wait) for _ in range(2)]:
+        future.result()
+    rng = np.random.default_rng(21)
+    s = _random_sparse(rng, 500, 500, 4_000)
+    x = rng.normal(size=(500, 4))
+    want = autodiff._spmm_data(s, x)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(autodiff._spmm_data(s, x), want) else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's SpMM did not finish in 30 s")
+        time.sleep(0.02)
+    assert os.waitstatus_to_exitcode(status) == 0
+    autodiff._spmm_pool().shutdown()
+
+
+# builds one multi-tile product (four runs of rows, three columns) and hashes it
+_PRODUCT_DIGEST = """
+import hashlib
+import numpy as np
+from scalegraph import autodiff
+from scalegraph.sparse import SparseMatrix
+rng = np.random.default_rng(8)
+n, nnz = 3_000, 240_000
+s = SparseMatrix.from_coo(n, n, rng.integers(0, n, nnz), rng.integers(0, n, nnz),
+                          rng.normal(size=nnz))
+digest = hashlib.sha256(autodiff._spmm_data(s, rng.normal(size=(n, 3))).tobytes()).hexdigest()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs at least two CPUs to pin a process to one")
+def test_spmm_worker_count_follows_cpu_affinity():
+    cpu = min(os.sched_getaffinity(0))
+    src = os.path.dirname(os.path.dirname(autodiff.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PRODUCT_DIGEST + "print(autodiff._WORKERS, digest)"],
+        capture_output=True, text=True, timeout=120, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])))
+    assert proc.returncode == 0, proc.stderr
+    workers, digest = proc.stdout.split()
+    assert int(workers) == 1
+    assert autodiff._WORKERS >= 2
+    here = {}
+    exec(_PRODUCT_DIGEST, here)
+    assert here["digest"] == digest
 
 
 class _Untransposable(np.ndarray):

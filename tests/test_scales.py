@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scalegraph import scales
 from scalegraph.scales import (
     Ones,
     PeakMixture,
@@ -16,7 +17,7 @@ from scalegraph.scales import (
 )
 from scalegraph.sparse import SparseMatrix, transpose
 
-from conftest import random_digraph
+from conftest import random_digraph, random_weighted
 
 
 def support(s):
@@ -213,6 +214,20 @@ def test_model_matrix_family_selfloop_policies(tree6):
     fam = model_matrix_family(tree6, selfloop_mode="add", second_scale_selfloops="remove")
     assert np.all(np.diag(fam["A"].to_dense()) == 1)
     assert np.all(np.diag(fam["AT"].to_dense()) == 0)
+
+
+def test_model_matrix_family_transposes_once_and_matches_each_word(monkeypatch):
+    rng = np.random.default_rng(12)
+    calls = []
+    monkeypatch.setattr(scales, "transpose", lambda s: calls.append(s) or transpose(s))
+    for mode, second in [("keep", "keep"), ("add", "remove"), ("remove", "keep")]:
+        adj = random_weighted(rng, 40, 40, 0.1)
+        calls.clear()
+        fam = model_matrix_family(adj, mode, second)
+        assert len(calls) == 1
+        for word, got in fam.items():
+            spec = ScaleSpec(word, mode if len(word) == 1 else second)
+            assert got == build_scaled_adjacency(adj, spec).matrix
 
 
 # -- weight strategies -------------------------------------------------------------
