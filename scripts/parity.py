@@ -10,7 +10,9 @@ the same sweep and records every call of ``harness.train``: the
 batchnorm running statistics. The sweep, in order:
 
 * ``families``: every model family (scalenet with union and intersection
-  blocks) x {plain, dropout 0.5, batchnorm} on a small dSBM;
+  blocks) x {plain, dropout 0.5, batchnorm} on a small dSBM, then scalenet
+  with both sides of all three direction pairs and self-loops removed at both
+  scales, x the same three variants;
 * ``per-scale``: ``per_scale_report`` with shared-edge removal on that dSBM;
 * ``grid-desk``: every training run of perfbench's ``grid-desk`` workload;
 * ``large-sparse``: perfbench's ``large-sparse`` workload at seed 1, its graph
@@ -73,6 +75,14 @@ def _small_sweep(harness, models, graphdata):
             seed = 10 * i + j
             harness.train(models.build_model(cfg, g, seed=seed), g, splits.splits[0], tc,
                           seed=seed)
+    # both sides of every pair, so A/T and AA/TT each propagate through two partners
+    for j, extra in enumerate(variants.values()):
+        cfg = models.ModelConfig(layers=2, hidden=8, lr=0.05, alpha=0.5, beta=0.5, gamma=0.5,
+                                 selfloop_mode="remove", second_scale_selfloops="remove",
+                                 **extra)
+        seed = 10 * len(models.FAMILIES) + j
+        harness.train(models.build_model(cfg, g, seed=seed), g, splits.splits[0], tc,
+                      seed=seed)
     yield "per-scale"
     harness.per_scale_report(g, splits, train_cfg=tc, seeds=(0, 1), include_shared_removed=True)
 

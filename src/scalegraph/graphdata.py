@@ -312,8 +312,10 @@ class DirectionProfile:
             raise ValueError("no_in_fraction must be in [0, 1)")
 
 
-# random draws per chunk of generate_dsbm (8 MB of float64); n <= 1024 is one chunk
-_DSBM_CHUNK_CELLS = 1 << 20
+# random draws per chunk of generate_dsbm: 256 KB of float64, so each chunk's
+# draws and probabilities stay in L2 and are small enough for malloc to reuse its
+# free heap instead of mapping (and page-faulting) fresh pages on every call
+_DSBM_CHUNK_CELLS = 1 << 15
 
 
 def generate_dsbm(n, n_classes, p_in, p_out, profile=DirectionProfile(),

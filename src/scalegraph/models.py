@@ -54,6 +54,7 @@ from scalegraph.sparse import (
     SparseMatrix,
     add_self_loops,
     apply_selfloop_mode,
+    link_transposes,
     pattern_intersection,
     pattern_union,
     sym_normalize,
@@ -198,12 +199,27 @@ def prepare_direction_blocks(adj: SparseMatrix, cfg: ModelConfig, families=None)
     """Normalized channels of the non-excluded direction pairs, precomputed once per run.
 
     ``families`` is a ``matrix_family`` memo of ``adj`` to share products through.
+    Each pair's sides are transposes of each other (A/T, AA/TT) or each symmetric
+    (AT, TA), so its union and intersection are symmetric. The normalized matrices
+    are linked or marked as such (``link_transposes``), and a backward through them
+    sorts no transpose. Entry (i, j) of ``sym_normalize(M)`` and entry (j, i) of
+    ``sym_normalize(Mᵀ)`` are both ``(1.0 * r_i) * c_j`` of a pattern over the
+    same integer sums, so a partner is its transpose bit for bit.
     """
     family = matrix_family(adj, cfg.selfloop_mode, cfg.second_scale_selfloops, families)
-    blocks = [pair_channel(param, family[wm], family[wn], sym_normalize)
-              for param, (wm, wn) in ((cfg.alpha, ("A", "T")), (cfg.beta, ("AT", "TA")),
-                                      (cfg.gamma, ("AA", "TT")))
-              if param != -1.0]
+    blocks = []
+    for param, (wm, wn) in ((cfg.alpha, ("A", "T")), (cfg.beta, ("AT", "TA")),
+                            (cfg.gamma, ("AA", "TT"))):
+        if param == -1.0:
+            continue
+        block = pair_channel(param, family[wm], family[wn], sym_normalize)
+        sides = [s for s, _ in block]
+        if wm == "AT" or param in (2.0, 3.0):
+            for s in sides:
+                link_transposes(s, s)
+        elif len(sides) == 2:
+            link_transposes(*sides)
+        blocks.append(block)
     if not blocks:
         raise ValueError("all direction blocks are excluded")
     return blocks
@@ -329,41 +345,53 @@ def _stack(cfg: ModelConfig, graph: DirectedGraph, channels, fusion, seed) -> Mo
     return Model(cfg, layers, graph.n_classes, rng, graph.features)
 
 
+def _channels(matrices, coef=1.0):
+    """One channel per normalized matrix."""
+    return [((m, coef),) for m in matrices]
+
+
 def build_matrix_channel_model(cfg: ModelConfig, graph: DirectedGraph, matrices,
                                seed=0) -> Model:
     """Model over explicit (already normalized) matrices, one added channel each."""
-    return _stack(cfg, graph, [((m, 1.0),) for m in matrices], "add", seed)
+    return _stack(cfg, graph, _channels(matrices), "add", seed)
 
 
 def _first_scale(adj, cfg):
-    """Words A and T under the first-scale self-loop mode; no second-scale product is built."""
-    return [build_scaled_adjacency(adj, ScaleSpec(word, cfg.selfloop_mode)).matrix
-            for word in ("A", "T")]
+    """Normalized A and T under the first-scale self-loop mode, linked as each other's
+    transpose; no second-scale product is built."""
+    specs = (ScaleSpec(word, cfg.selfloop_mode) for word in ("A", "T"))
+    s_a, s_t = (sym_normalize(build_scaled_adjacency(adj, spec).matrix) for spec in specs)
+    link_transposes(s_a, s_t)
+    return [s_a, s_t]
 
 
-def _normalized(patterns, coef=1.0):
-    return [((sym_normalize(p), coef),) for p in patterns]
+def _symmetric(patterns):
+    """``sym_normalize`` of symmetric patterns, each marked as its own transpose."""
+    out = [sym_normalize(p) for p in patterns]
+    for s in out:
+        link_transposes(s, s)
+    return out
 
 
 def _inception(*proximity):
     """Channels A and T, then one per pruned proximity matrix (hops, mode)."""
     def channels(adj, cfg, families):
-        return _normalized(_first_scale(adj, cfg)
-                           + [proximity_matrix(adj, k, mode, True) for k, mode in proximity])
+        return _channels(_first_scale(adj, cfg) + _symmetric(
+            [proximity_matrix(adj, k, mode, True) for k, mode in proximity]))
     return channels
 
 
 def _one_ym(adj, cfg, families):
     fam = matrix_family(adj, cfg.selfloop_mode, cfg.second_scale_selfloops, families)
-    return _normalized([pattern_union(fam["A"], fam["T"]), fam["AT"], fam["TA"]])
+    return _channels(_symmetric([pattern_union(fam["A"], fam["T"]), fam["AT"], fam["TA"]]))
 
 
 def _gcn(adj, cfg, families):
-    return _normalized([add_self_loops(pattern_union(adj, transpose(adj)))])
+    return _channels(_symmetric([add_self_loops(pattern_union(adj, transpose(adj)))]))
 
 
 def _dirgnn_lite(adj, cfg, families):
-    return _normalized(_first_scale(adj, cfg), coef=0.5)
+    return _channels(_first_scale(adj, cfg), coef=0.5)
 
 
 # family -> (channels of every layer from (adjacency pattern, config, family memo),

@@ -6,11 +6,14 @@ set-algebra (union / intersection / difference) are well defined. Values are
 float64; a "pattern" matrix stores 1.0 for every structural entry.
 """
 
+import weakref
+
 import numpy as np
 
 __all__ = [
     "SparseMatrix",
     "transpose",
+    "link_transposes",
     "spgemm",
     "pattern_union",
     "pattern_intersection",
@@ -35,7 +38,8 @@ class SparseMatrix:
       * all column indices are < ``n_cols`` and all values are finite.
     """
 
-    __slots__ = ("n_rows", "n_cols", "row_offsets", "col_indices", "values", "_t_cache")
+    __slots__ = ("n_rows", "n_cols", "row_offsets", "col_indices", "values", "_t_cache",
+                 "__weakref__")
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values):
         self.n_rows = int(n_rows)
@@ -213,26 +217,52 @@ _SYMMETRIC = object()
 
 
 def transpose(s: SparseMatrix) -> SparseMatrix:
-    """Exact CSR transpose (a sort of the unique keys ``col * n_rows + row``), memoized.
+    """Exact CSR transpose, memoized.
 
-    A matrix exactly equal to its transpose is returned itself, so a symmetric
-    matrix keeps one CSR copy.
+    A matrix marked symmetric, or found equal to its transpose, is returned
+    itself, so it keeps one CSR copy. A matrix linked by ``link_transposes``
+    returns its partner while the partner lives. Otherwise the transpose is
+    sorted (``_sorted_transpose``) and kept.
     """
-    if s._t_cache is _SYMMETRIC:
+    cached = s._t_cache
+    if cached is _SYMMETRIC:
         return s
-    if s._t_cache is not None:
-        return s._t_cache
-    rows = np.repeat(np.arange(s.n_rows, dtype=np.int64), np.diff(s.row_offsets))
-    # the keys are unique, so every sort kind gives this one permutation
-    order = np.argsort(s.col_indices * np.int64(s.n_rows) + rows)
-    offsets = np.zeros(s.n_cols + 1, dtype=np.int64)
-    np.cumsum(np.bincount(s.col_indices, minlength=s.n_cols), out=offsets[1:])
-    out = SparseMatrix(s.n_cols, s.n_rows, offsets, rows[order], s.values[order])
+    if isinstance(cached, weakref.ref):
+        cached = cached()
+    if cached is not None:
+        return cached
+    out = _sorted_transpose(s)
     if out == s:
         s._t_cache = _SYMMETRIC
         return s
     s._t_cache = out
     return out
+
+
+def _sorted_transpose(s):
+    """A sort of the unique keys ``col * n_rows + row``."""
+    rows = np.repeat(np.arange(s.n_rows, dtype=np.int64), np.diff(s.row_offsets))
+    # the keys are unique, so every sort kind gives this one permutation
+    order = np.argsort(s.col_indices * np.int64(s.n_rows) + rows)
+    offsets = np.zeros(s.n_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(s.col_indices, minlength=s.n_cols), out=offsets[1:])
+    return SparseMatrix(s.n_cols, s.n_rows, offsets, rows[order], s.values[order])
+
+
+def link_transposes(s: SparseMatrix, t: SparseMatrix) -> None:
+    """Record ``t`` as the exact transpose of ``s`` and ``s`` as that of ``t``; nothing is
+    checked but the shapes, so the caller vouches for every bit.
+
+    ``link_transposes(s, s)`` marks ``s`` symmetric. Otherwise each matrix holds the
+    other through a weak reference, which forms no reference cycle: when one is
+    freed, ``transpose`` of the other sorts again.
+    """
+    if s.shape != t.shape[::-1]:
+        raise ValueError(f"shapes {s.shape} and {t.shape} are not transposes")
+    if s is t:
+        s._t_cache = _SYMMETRIC
+    else:
+        s._t_cache, t._t_cache = weakref.ref(t), weakref.ref(s)
 
 
 # A row block of ``spgemm`` expands at most this many products (8 MB per int64

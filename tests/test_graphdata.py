@@ -227,6 +227,13 @@ def test_dsbm_chunked_draws_match_one_chunk(monkeypatch, profile):
             assert np.array_equal(g.labels, one.labels)
             assert not np.any(g.adjacency.diagonal())
         monkeypatch.undo()
+    # grid-desk's graph (n = 300, seed 42): three chunks by default, one of 2**20 cells
+    desk = dict(profile=profile, feature_noise=0.5, seed=42)
+    chunked = generate_dsbm(300, 5, 0.10, 0.01, **desk)
+    monkeypatch.setattr(graphdata, "_DSBM_CHUNK_CELLS", 1 << 20)
+    one = generate_dsbm(300, 5, 0.10, 0.01, **desk)
+    assert chunked.adjacency == one.adjacency
+    assert np.array_equal(chunked.features, one.features)
 
 
 def test_dsbm_pure_intra_when_p_out_zero():

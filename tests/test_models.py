@@ -1,7 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from scalegraph import models
+from scalegraph import harness, models, sparse
 from scalegraph.autodiff import (
     Tensor,
     backward,
@@ -10,7 +13,7 @@ from scalegraph.autodiff import (
     matmul,
     softmax_cross_entropy,
 )
-from scalegraph.graphdata import DirectedGraph, generate_dsbm
+from scalegraph.graphdata import DirectedGraph, DirectionProfile, generate_dsbm, make_random_splits
 from scalegraph import scales
 from scalegraph.models import (
     FAMILIES,
@@ -391,3 +394,90 @@ def test_snapshot_restore_round_trip(small_graph):
     assert not np.allclose(model.forward(small_graph.features).data, before)
     model.restore(snap)
     assert np.array_equal(model.forward(small_graph.features).data, before)
+
+
+# -- transposes of the model matrices ------------------------------------------------------
+
+
+def channel_matrices(model):
+    return [m for channel in model.layers[0].channels for m, _ in channel]
+
+
+def count_sorts(monkeypatch):
+    """List that grows by one for every transpose actually sorted (a cache miss)."""
+    sorts = []
+    real = sparse._sorted_transpose
+    monkeypatch.setattr(sparse, "_sorted_transpose", lambda s: sorts.append(s) or real(s))
+    return sorts
+
+
+def config_sweep():
+    for family in FAMILIES:
+        if family == "mlp":
+            continue
+        params = (0.0, 0.5, 1.0, 2.0, 3.0) if family == "scalenet" else (0.5,)
+        for param in params:
+            for selfloop_mode in ("add", "remove", "keep"):
+                for second in ("keep", "remove"):
+                    yield ModelConfig(family=family, alpha=param, beta=param, gamma=param,
+                                      selfloop_mode=selfloop_mode,
+                                      second_scale_selfloops=second)
+
+
+@pytest.mark.parametrize("profile", [DirectionProfile(), DirectionProfile("out", 0.3)])
+def test_linked_transposes_match_a_fresh_sort(monkeypatch, profile):
+    # the "out" profile gives nodes with no in-edges: zero row and column sums
+    g = generate_dsbm(40, 3, 0.2, 0.05, profile=profile, seed=4)
+    sorts = count_sorts(monkeypatch)
+    for cfg in config_sweep():
+        mats = channel_matrices(build_model(cfg, g, seed=0))
+        sorts.clear()
+        got = [transpose(m) for m in mats]
+        # only a lone side of A/T and of AA/TT has no partner
+        assert len(sorts) == (2 if cfg.family == "scalenet" and cfg.alpha in (0.0, 1.0) else 0)
+        for m, t in zip(mats, got):
+            want = transpose(SparseMatrix(m.n_rows, m.n_cols, m.row_offsets, m.col_indices,
+                                          m.values))
+            assert t == want and t.values.tobytes() == want.values.tobytes(), cfg
+
+
+def train_two_epochs(cfg, graph):
+    model = build_model(cfg, graph, seed=1)
+    split = make_random_splits(graph, seed=0)[0]
+    harness.train(model, graph, split, harness.TrainConfig(max_epochs=2), seed=1)
+    return model
+
+
+@pytest.mark.parametrize("directions, want", [((0.5, 0.5, 0.5), 1), ((1.0, 2.0, 3.0), 2)])
+def test_scalenet_build_and_training_sort_one_transpose_per_lone_side(
+        small_graph, monkeypatch, directions, want):
+    # 1: model_matrix_family's sort of A; (1, 2, 3) adds the lone S_A's transpose
+    sorts = count_sorts(monkeypatch)
+    alpha, beta, gamma = directions
+    train_two_epochs(ModelConfig(alpha=alpha, beta=beta, gamma=gamma, layers=2, hidden=4),
+                     small_graph)
+    assert len(sorts) == want
+
+
+@pytest.mark.parametrize("family", ["gcn", "one_ym", "one_ig", "one_igi2", "one_igu2",
+                                    "one_igu3", "dirgnn_lite"])
+def test_other_families_train_without_sorting_a_transpose(small_graph, monkeypatch, family):
+    model = build_model(ModelConfig(family=family, layers=2, hidden=4), small_graph, seed=1)
+    sorts = count_sorts(monkeypatch)
+    split = make_random_splits(small_graph, seed=0)[0]
+    harness.train(model, small_graph, split, harness.TrainConfig(max_epochs=2), seed=1)
+    assert sorts == []
+
+
+def test_dropping_a_trained_scalenet_frees_its_matrices_without_the_cycle_collector(
+        small_graph):
+    gc.disable()
+    try:
+        model = train_two_epochs(ModelConfig(alpha=0.5, beta=0.5, gamma=0.5, layers=2,
+                                             hidden=4), small_graph)
+        values = [weakref.ref(m.values) for m in channel_matrices(model)]
+        assert len(values) == 6
+        del model
+        assert [v() for v in values] == [None] * 6
+    finally:
+        gc.enable()

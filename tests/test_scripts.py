@@ -38,7 +38,7 @@ def test_parity_tool_sees_a_mutated_coefficient(tmp_path, mode):
                     ignore=shutil.ignore_patterns("__pycache__"))
     models_py = mutant / "scalegraph" / "models.py"
     text = models_py.read_text()
-    line = "_normalized(_first_scale(adj, cfg), coef=0.5)"
+    line = "_channels(_first_scale(adj, cfg), coef=0.5)"
     assert text.count(line) == 1
     models_py.write_text(text.replace(line, line.replace("0.5", "0.51")))
     moved = _parity(src, mutant, mode)

@@ -152,6 +152,28 @@ def test_symmetric_transpose_frees_without_the_cycle_collector():
         gc.enable()
 
 
+def test_linked_partner_is_the_transpose_until_it_is_dropped(monkeypatch):
+    rng = np.random.default_rng(10)
+    adj = random_digraph(rng, 12)
+    s, t = sym_normalize(adj), sym_normalize(transpose(adj))
+    sorts = []
+    real = sparse._sorted_transpose
+    monkeypatch.setattr(sparse, "_sorted_transpose", lambda m: sorts.append(m) or real(m))
+    sparse.link_transposes(s, t)
+    assert transpose(s) is t and transpose(t) is s and sorts == []
+    gc.disable()
+    try:
+        del t
+        again = transpose(s)  # the partner is gone: sort anew
+        assert len(sorts) == 1
+        assert again == real(SparseMatrix(12, 12, s.row_offsets, s.col_indices, s.values))
+        assert transpose(s) is again and len(sorts) == 1
+    finally:
+        gc.enable()
+    with pytest.raises(ValueError, match="not transposes"):
+        sparse.link_transposes(s, SparseMatrix.empty(12, 11))
+
+
 # -- spgemm ------------------------------------------------------------------
 
 
