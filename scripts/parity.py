@@ -14,11 +14,13 @@ batchnorm running statistics. The sweep, in order:
   with both sides of all three direction pairs and self-loops removed at both
   scales, x the same three variants;
 * ``per-scale``: ``per_scale_report`` with shared-edge removal on that dSBM;
+* ``grid``: ``grid_search`` over four configs and both splits of that dSBM, whose
+  lone pair sides meet their partners through the search's one matrix plan;
 * ``grid-desk``: every training run of perfbench's ``grid-desk`` workload;
 * ``large-sparse``: perfbench's ``large-sparse`` workload at seed 1, its graph
   written by ``perfbench/workloads.py``'s ``write_large_graph``.
 
-``--quick`` runs the first two sections only.
+``--quick`` runs the first three sections only.
 
 ``--mode bits`` compares one digest per run (its result dict plus its state
 hash) and lists every mismatch. ``--mode tolerance`` lists, per run, the
@@ -85,6 +87,16 @@ def _small_sweep(harness, models, graphdata):
                       seed=seed)
     yield "per-scale"
     harness.per_scale_report(g, splits, train_cfg=tc, seeds=(0, 1), include_shared_removed=True)
+    yield "grid"
+    # one matrix plan serves the whole grid: the lone S_T of alpha = 0 and the lone S_A of
+    # alpha = 1 meet as partners, and one_ym reuses the scalenet rows' words
+    shape = {"layers": 2, "hidden": 8, "lr": 0.05}
+    space = [models.ModelConfig(alpha=alpha, beta=2.0, gamma=3.0, **shape)
+             for alpha in (0.0, 1.0)]
+    space += [models.ModelConfig(family="one_ym", **shape),
+              models.ModelConfig(family="one_igu2", selfloop_mode="remove",
+                                 second_scale_selfloops="remove", **shape)]
+    harness.grid_search(space, g, splits, train_cfg=tc, base_seed=3)
 
 
 def _full_sweep(harness, models, graphdata):

@@ -130,14 +130,11 @@ def _add_model_flags(p):
 
 def _model_config(args) -> ModelConfig:
     """Precedence: explicit flags > config file > defaults."""
-    merged = {}
-    if getattr(args, "config", None):
-        merged.update(json.loads(Path(args.config).read_text()))
-    for f in fields(ModelConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            merged[f.name] = bool(value) if f.name in _BOOL_FIELDS else value
-    return ModelConfig(**merged)
+    payload = json.loads(Path(args.config).read_text()) if getattr(args, "config", None) else {}
+    flags = {f.name: getattr(args, f.name) for f in fields(ModelConfig)
+             if getattr(args, f.name, None) is not None}
+    flags.update((name, bool(flags[name])) for name in _BOOL_FIELDS if name in flags)
+    return ModelConfig.from_dict(payload, **flags)
 
 
 def _add_train_flags(p):
@@ -186,10 +183,10 @@ def _cmd_stats(args, argv):
 
 def _cmd_scale(args, argv):
     out = _prepare_out_dir(args, argv)
-    if args.edges:
+    if args.data_dir:  # the dataset's node count sizes the matrix
+        adjacency = _load_graph(args)[0].adjacency
+    elif args.edges:
         adjacency = parse_edge_list(Path(args.edges).read_text())
-    elif args.data_dir:
-        adjacency = parse_edge_list((Path(args.data_dir) / "edges.tsv").read_text())
     else:
         raise _UsageExit("scale needs --edges or --data-dir")
     spec = ScaleSpec(args.word, args.selfloops)
@@ -241,7 +238,9 @@ def _cmd_gridsearch(args, argv):
     graph, splits = _load_graph(args)
     if args.space_file:
         entries = json.loads(Path(args.space_file).read_text())
-        space = [ModelConfig(**entry) for entry in entries]
+        if not isinstance(entries, list):
+            raise ValueError(f"{args.space_file}: expected a JSON array of ModelConfig objects")
+        space = [ModelConfig.from_dict(entry) for entry in entries]
     else:
         space = default_grid_space(base)
     if args.max_configs:
@@ -282,7 +281,9 @@ def _cmd_compare(args, argv):
 
 def _cmd_rerun(args, argv):
     manifest = json.loads(Path(args.manifest).read_text())
-    replay = list(manifest["argv"])
+    replay = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not isinstance(replay, list) or not all(isinstance(a, str) for a in replay):
+        raise DataError(f"{args.manifest}: expected an object with an 'argv' list of strings")
     if args.out_dir is not None:
         replay += ["--out-dir", args.out_dir]
     return main(replay)

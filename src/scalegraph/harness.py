@@ -16,7 +16,7 @@ import numpy as np
 
 from scalegraph.autodiff import AdamState, adam_step, backward, softmax_cross_entropy
 from scalegraph.graphdata import DirectedGraph, SplitSet
-from scalegraph.models import ModelConfig, build_matrix_channel_model, build_model, matrix_family
+from scalegraph.models import MatrixPlan, ModelConfig, build_matrix_channel_model, build_model
 from scalegraph.scales import remove_shared_edges
 from scalegraph.sparse import SparseMatrix, sym_normalize
 
@@ -155,14 +155,13 @@ def _sample_std(values):
     return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
 
 
-def _fold_runs(cfg, graph, splits, seeds, train_cfg, families):
-    """One ``train(build_model(...))`` result per (split, seed) pair; ``families`` is the
-    ``matrix_family`` memo the runs share."""
+def _fold_runs(cfg, graph, splits, seeds, train_cfg, plan):
+    """One ``train(build_model(..., plan=plan))`` result per (split, seed) pair."""
     if len(splits) == 0:
         raise ValueError("need at least one split")
     results = []
     for split, seed in zip(splits.splits, seeds):
-        model = build_model(cfg, graph, seed=seed, families=families)
+        model = build_model(cfg, graph, seed=seed, plan=plan)
         results.append(train(model, graph, split, train_cfg, seed=seed))
     return results
 
@@ -174,7 +173,7 @@ def cross_validate(cfg: ModelConfig, graph: DirectedGraph, splits: SplitSet,
         seeds = [derive_seed(seeds, "fold", i) for i in range(len(splits))]
     if len(seeds) != len(splits):
         raise ValueError("one seed per split required")
-    results = _fold_runs(cfg, graph, splits, seeds, train_cfg, families={})
+    results = _fold_runs(cfg, graph, splits, seeds, train_cfg, MatrixPlan(graph.adjacency))
     accs = [r.test_acc_at_best_val for r in results]
     return CrossValResult(float(np.mean(accs)), _sample_std(accs), results)
 
@@ -254,7 +253,7 @@ def per_scale_report(graph: DirectedGraph, splits: SplitSet, columns=None,
     if len(splits) == 0 or len(seeds) == 0:
         raise ValueError("need at least one split and one seed")
     cfg = model_cfg or default_column_config()
-    family = matrix_family(graph.adjacency.pattern(), "keep", "keep")
+    plan = MatrixPlan(graph.adjacency)
     zeroed = graph.zeroed()
 
     def column_accs(name, strip_shared):
@@ -262,11 +261,9 @@ def per_scale_report(graph: DirectedGraph, splits: SplitSet, columns=None,
         if not words:
             g, mats = zeroed, [SparseMatrix.empty(graph.n, graph.n)]
         else:
-            g = graph
-            pats = [family[w] for w in words]
-            if strip_shared:
-                pats = [remove_shared_edges(p, [family["A"], family["T"]]) for p in pats]
-            mats = [sym_normalize(p) for p in pats]
+            g, first = graph, [plan.word(w, "keep") for w in ("A", "T")]
+            mats = [sym_normalize(remove_shared_edges(plan.word(w, "keep"), first))
+                    if strip_shared else plan.normalized(w, "keep") for w in words]
         accs = []
         for i, split in enumerate(splits.splits):
             for seed in seeds:
@@ -355,11 +352,11 @@ def grid_search(space, graph: DirectedGraph, splits: SplitSet,
     if not space:
         raise ValueError("empty grid space")
 
-    families = {}  # matrix_family memo shared by every config, freed on return
+    plan = MatrixPlan(graph.adjacency)  # shared by every config, freed on return
     ranked = []
     for cfg in space:
         seeds = [derive_seed(base_seed, cfg.to_json(), s_idx) for s_idx in range(len(splits))]
-        runs = _fold_runs(cfg, graph, splits, seeds, train_cfg, families)
+        runs = _fold_runs(cfg, graph, splits, seeds, train_cfg, plan)
         vals = [r.best_val_acc for r in runs]
         tests = [r.test_acc_at_best_val for r in runs]
         ranked.append(GridResult(cfg, float(np.mean(vals)), float(np.mean(tests)),

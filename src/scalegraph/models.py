@@ -27,7 +27,7 @@ a cross-layer fusion (jumping-knowledge max/concat or plain addition/last).
 """
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import reduce
 
 import numpy as np
@@ -49,7 +49,7 @@ from scalegraph.autodiff import (
     spmm,
 )
 from scalegraph.graphdata import DirectedGraph
-from scalegraph.scales import ScaleSpec, build_scaled_adjacency, proximity_matrix
+from scalegraph.scales import proximity_matrix
 from scalegraph.sparse import (
     SparseMatrix,
     add_self_loops,
@@ -118,29 +118,28 @@ class ModelConfig:
         return json.dumps(asdict(self), sort_keys=True)
 
     @staticmethod
+    def from_dict(payload, **overrides):
+        """The config of a JSON object's fields, ``overrides`` on top. A ValueError names a
+        non-object payload, an unknown field or a wrongly typed value (floats take ints)."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"a model config must be a JSON object, got {payload!r}")
+        merged = {**payload, **overrides}
+        types = {f.name: f.type for f in fields(ModelConfig)}
+        for name, value in merged.items():
+            if name not in types:
+                raise ValueError(f"unknown model config field {name!r}")
+            if type(value) not in ((int, float) if types[name] is float else (types[name],)):
+                raise ValueError(f"model config field {name!r} is not a {types[name].__name__}")
+        return ModelConfig(**merged)
+
+    @staticmethod
     def from_json(text):
-        payload = json.loads(text) if isinstance(text, str) else dict(text)
-        return ModelConfig(**payload)
+        return ModelConfig.from_dict(json.loads(text) if isinstance(text, str) else text)
 
 
 def direction_coefficients(alpha: float):
     """Coefficient pair ((1+a)a, (1+a)(1-a)) for the M and N sides."""
     return (1.0 + alpha) * alpha, (1.0 + alpha) * (1.0 - alpha)
-
-
-def pair_channel(param, m: SparseMatrix, n: SparseMatrix, prep):
-    """Terms of the direction pair (m, n), each matrix passed through ``prep``.
-
-    param = 2 gives the support union, param = 3 the intersection, and any
-    other value the coefficient law with zero-coefficient sides dropped.
-    Callers exclude param = -1, whose terms would all be dropped.
-    """
-    if param == 2.0:
-        return ((prep(pattern_union(m, n)), 1.0),)
-    if param == 3.0:
-        return ((prep(pattern_intersection(m, n)), 1.0),)
-    return tuple((prep(mat), c) for mat, c in zip((m, n), direction_coefficients(param))
-                 if c != 0.0)
 
 
 def propagate(channel, h: Tensor) -> Tensor:
@@ -173,55 +172,70 @@ def agg_b(alpha: float, m: SparseMatrix, n: SparseMatrix, x: Tensor, weight: Ten
         raise ValueError(f"alpha must be one of {DIRECTION_VALUES}, got {alpha}")
     if alpha == -1:
         return Tensor(np.zeros((m.n_rows, weight.data.shape[1])))
-    return propagate(pair_channel(alpha, m, n, lambda s: s), matmul(x, weight))
+    if alpha in (2.0, 3.0):
+        channel = (((pattern_union if alpha == 2.0 else pattern_intersection)(m, n), 1.0),)
+    else:
+        channel = tuple((s, c) for s, c in zip((m, n), direction_coefficients(alpha)) if c != 0.0)
+    return propagate(channel, matmul(x, weight))
 
 
-def matrix_family(adj: SparseMatrix, selfloop_mode: str, second_scale_selfloops: str,
-                  families: dict | None = None) -> dict[str, SparseMatrix]:
-    """``scales.model_matrix_family(adj, selfloop_mode, second_scale_selfloops)``, with the
-    products shared through the memo ``families``.
+class MatrixPlan:
+    """The words of ``scales.MODEL_WORDS`` over one adjacency, each pattern and its
+    ``sym_normalize`` built on first request, the second-scale words by one
+    ``scales.model_matrix_family`` call per self-loop mode. A normalized word is linked
+    (``link_transposes``) to that of its transpose, the word reversed with A and T swapped:
+    entry (i, j) of one and (j, i) of the other are both ``(1.0 * r_i) * c_j`` over the same
+    integer sums. Layer-1 inputs are not kept, as a plan lives for a whole grid."""
 
-    ``families`` maps ``second_scale_selfloops`` to the keep-mode family of ``adj`` and is
-    filled on first use; applying ``selfloop_mode`` to its ``A`` and ``T`` gives the same
-    matrices as building under that mode. Without a memo the family is built afresh.
-    """
-    families = {} if families is None else families
-    if second_scale_selfloops not in families:
-        families[second_scale_selfloops] = scales.model_matrix_family(
-            adj, "keep", second_scale_selfloops)
-    family = dict(families[second_scale_selfloops])
-    for word in ("A", "T"):
-        family[word] = apply_selfloop_mode(family[word], selfloop_mode)
-    return family
+    def __init__(self, adj: SparseMatrix):
+        self.adj = adj.pattern()
+        self._words = {}
+        self._normalized = {}
+
+    def word(self, word, mode):
+        if (word, mode) not in self._words:
+            if word in ("A", "T"):
+                base = self.adj if word == "A" else transpose(self.adj)
+                self._words[word, mode] = apply_selfloop_mode(base, mode)
+            else:
+                family = scales.model_matrix_family(self.adj, "keep", mode)
+                self._words.update(((w, mode), family[w]) for w in scales.MODEL_WORDS[2:])
+        return self._words[word, mode]
+
+    def normalized(self, word, mode):
+        if (word, mode) not in self._normalized:
+            s = self._normalized[word, mode] = sym_normalize(self.word(word, mode))
+            partner = self._normalized.get((word[::-1].translate(str.maketrans("AT", "TA")), mode))
+            if partner is not None:
+                link_transposes(s, partner)
+        return self._normalized[word, mode]
+
+    @staticmethod
+    def symmetric(pattern):
+        """``sym_normalize`` of a symmetric pattern, marked as its own transpose."""
+        s = sym_normalize(pattern)
+        link_transposes(s, s)
+        return s
 
 
-def prepare_direction_blocks(adj: SparseMatrix, cfg: ModelConfig, families=None):
-    """Normalized channels of the non-excluded direction pairs, precomputed once per run.
-
-    ``families`` is a ``matrix_family`` memo of ``adj`` to share products through.
-    Each pair's sides are transposes of each other (A/T, AA/TT) or each symmetric
-    (AT, TA), so its union and intersection are symmetric. The normalized matrices
-    are linked or marked as such (``link_transposes``), and a backward through them
-    sorts no transpose. Entry (i, j) of ``sym_normalize(M)`` and entry (j, i) of
-    ``sym_normalize(Mᵀ)`` are both ``(1.0 * r_i) * c_j`` of a pattern over the
-    same integer sums, so a partner is its transpose bit for bit.
-    """
-    family = matrix_family(adj, cfg.selfloop_mode, cfg.second_scale_selfloops, families)
-    blocks = []
-    for param, (wm, wn) in ((cfg.alpha, ("A", "T")), (cfg.beta, ("AT", "TA")),
-                            (cfg.gamma, ("AA", "TT"))):
-        if param == -1.0:
-            continue
-        block = pair_channel(param, family[wm], family[wn], sym_normalize)
-        sides = [s for s, _ in block]
-        if wm == "AT" or param in (2.0, 3.0):
-            for s in sides:
-                link_transposes(s, s)
-        elif len(sides) == 2:
-            link_transposes(*sides)
-        blocks.append(block)
-    if not blocks:
+def prepare_direction_blocks(plan: MatrixPlan, cfg: ModelConfig):
+    """Normalized channels of ``cfg``'s kept direction pairs, whose unions and intersections
+    are symmetric. No product runs while normalized values are held: patterns come first."""
+    first, second = cfg.selfloop_mode, cfg.second_scale_selfloops
+    pairs = [(param, words, mode) for param, words, mode in (
+        (cfg.alpha, ("A", "T"), first), (cfg.beta, ("AT", "TA"), second),
+        (cfg.gamma, ("AA", "TT"), second)) if param != -1.0]
+    if not pairs:
         raise ValueError("all direction blocks are excluded")
+    sides = [[plan.word(w, mode) for w in words] for _, words, mode in pairs]
+    blocks = []
+    for (param, words, mode), (m, n) in zip(pairs, sides):
+        if param in (2.0, 3.0):
+            combine = pattern_union if param == 2.0 else pattern_intersection
+            blocks.append(((plan.symmetric(combine(m, n)), 1.0),))
+        else:
+            blocks.append(tuple((plan.normalized(w, mode), c) for w, c in
+                                zip(words, direction_coefficients(param)) if c != 0.0))
     return blocks
 
 
@@ -356,49 +370,34 @@ def build_matrix_channel_model(cfg: ModelConfig, graph: DirectedGraph, matrices,
     return _stack(cfg, graph, _channels(matrices), "add", seed)
 
 
-def _first_scale(adj, cfg):
-    """Normalized A and T under the first-scale self-loop mode, linked as each other's
-    transpose; no second-scale product is built."""
-    specs = (ScaleSpec(word, cfg.selfloop_mode) for word in ("A", "T"))
-    s_a, s_t = (sym_normalize(build_scaled_adjacency(adj, spec).matrix) for spec in specs)
-    link_transposes(s_a, s_t)
-    return [s_a, s_t]
-
-
-def _symmetric(patterns):
-    """``sym_normalize`` of symmetric patterns, each marked as its own transpose."""
-    out = [sym_normalize(p) for p in patterns]
-    for s in out:
-        link_transposes(s, s)
-    return out
-
-
 def _inception(*proximity):
     """Channels A and T, then one per pruned proximity matrix (hops, mode)."""
-    def channels(adj, cfg, families):
-        return _channels(_first_scale(adj, cfg) + _symmetric(
-            [proximity_matrix(adj, k, mode, True) for k, mode in proximity]))
+    def channels(plan, cfg):
+        return _channels([plan.normalized(w, cfg.selfloop_mode) for w in ("A", "T")] + [
+            plan.symmetric(proximity_matrix(plan.adj, k, mode, True)) for k, mode in proximity])
     return channels
 
 
-def _one_ym(adj, cfg, families):
-    fam = matrix_family(adj, cfg.selfloop_mode, cfg.second_scale_selfloops, families)
-    return _channels(_symmetric([pattern_union(fam["A"], fam["T"]), fam["AT"], fam["TA"]]))
+def _one_ym(plan, cfg):
+    a, t = (plan.word(w, cfg.selfloop_mode) for w in ("A", "T"))
+    return _channels([plan.symmetric(pattern_union(a, t))] + [
+        plan.normalized(w, cfg.second_scale_selfloops) for w in ("AT", "TA")])
 
 
-def _gcn(adj, cfg, families):
-    return _channels(_symmetric([add_self_loops(pattern_union(adj, transpose(adj)))]))
+def _gcn(plan, cfg):
+    a, t = (plan.word(w, "keep") for w in ("A", "T"))
+    return _channels([plan.symmetric(add_self_loops(pattern_union(a, t)))])
 
 
-def _dirgnn_lite(adj, cfg, families):
-    return _channels(_first_scale(adj, cfg), coef=0.5)
+def _dirgnn_lite(plan, cfg):
+    return _channels([plan.normalized(w, cfg.selfloop_mode) for w in ("A", "T")], coef=0.5)
 
 
-# family -> (channels of every layer from (adjacency pattern, config, family memo),
-# intra-layer fusion); scalenet's fusion is the configured comb1
+# family -> (channels of every layer from (matrix plan, config), intra-layer fusion);
+# scalenet's fusion is the configured comb1
 _WIRING = {
     "scalenet": (prepare_direction_blocks, None),
-    "mlp": (lambda adj, cfg, families: [()], "add"),
+    "mlp": (lambda plan, cfg: [()], "add"),
     "one_ig": (_inception(), "add"),
     "one_igi2": (_inception((2, "intersect")), "add"),
     "one_igu2": (_inception((2, "union")), "add"),
@@ -409,14 +408,11 @@ _WIRING = {
 }
 
 
-def build_model(cfg: ModelConfig, graph: DirectedGraph, seed=0, families=None) -> Model:
-    """Wire a model family over the graph's scaled adjacency matrices.
-
-    ``families`` is a ``matrix_family`` memo of this graph's adjacency, for callers that
-    build several models; without it the model builds its own matrices.
-    """
+def build_model(cfg: ModelConfig, graph: DirectedGraph, seed=0, plan=None) -> Model:
+    """Wire a model family over the graph's scaled adjacency matrices, taken from ``plan``,
+    a ``MatrixPlan`` of the graph's adjacency that several builds can share, or a new one."""
     if cfg.family not in _WIRING:
         raise ValueError(f"unknown model family {cfg.family!r}")
     channels, fusion = _WIRING[cfg.family]
-    return _stack(cfg, graph, channels(graph.adjacency.pattern(), cfg, families),
-                  fusion or cfg.comb1, seed)
+    plan = MatrixPlan(graph.adjacency) if plan is None else plan
+    return _stack(cfg, graph, channels(plan, cfg), fusion or cfg.comb1, seed)

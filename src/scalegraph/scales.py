@@ -141,7 +141,7 @@ def model_matrix_family(adj: SparseMatrix, selfloop_mode: str = "keep",
     if not adj.is_square():
         raise ValueError("adjacency must be square")
     a = adj.pattern()
-    at = transpose(a)  # one sort of A's keys serves T, AT, TA and TT
+    at = transpose(adj).pattern()  # one sort of A, kept on ``adj``, serves T, AT, TA and TT
     out = {}
     for word in MODEL_WORDS:
         mode = selfloop_mode if len(word) == 1 else second_scale_selfloops

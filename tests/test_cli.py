@@ -99,6 +99,23 @@ def test_scale_selfloop_removal(tmp_path, capsys):
     assert "6 6 4" in stdout.splitlines()[1]
 
 
+def test_scale_data_dir_sizes_the_matrix_by_the_node_count(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    (ds / "edges.tsv").write_text("0\t1\n1\t2\n")  # node 3 has no edge
+    (ds / "features.csv").write_text("1.0\n0.0\n1.0\n0.0\n")
+    (ds / "labels.txt").write_text("0\n1\n0\n1\n")
+    (ds / "splits.json").write_text(json.dumps({"splits": [{"train": [0, 1], "val": [2],
+                                                              "test": [3]}]}))
+    rc, stdout, _ = run(capsys, "scale", *dataset_args(ds), "--word", "A",
+                        "--out-dir", str(tmp_path / "out"))
+    assert rc == 0 and stdout.splitlines()[1] == "4 4 2"
+    # an edge file alone still takes its size from the largest endpoint
+    rc, stdout, _ = run(capsys, "scale", "--edges", str(ds / "edges.tsv"), "--word", "A",
+                        "--out-dir", str(tmp_path / "out"))
+    assert rc == 0 and stdout.splitlines()[1] == "3 3 2"
+
+
 # -- train ------------------------------------------------------------------------
 
 
@@ -273,3 +290,37 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys):
     rc, _, err = run(capsys, "train", *dataset_args(ds), "--family", "one_ig",
                      "--comb1", "jk_max", "--out-dir", str(tmp_path / "y"))
     assert rc == 1 and "usage error" in err and "comb1" in err
+
+
+@pytest.mark.parametrize("payload, named", [
+    ({"alpah": 0.5}, "'alpah'"),
+    ([1, 2], "JSON object"),
+    ({"layers": "2"}, "'layers'"),
+    ({"layers": 2.0}, "'layers'"),
+    ({"use_bn": 1}, "'use_bn'"),
+    ({"alpha": True}, "'alpha'"),
+])
+def test_malformed_config_file_is_usage_error(tmp_path, capsys, payload, named):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(payload))
+    rc, _, err = run(capsys, "train", *dataset_args(HAND7), "--config", str(cfg_file),
+                     "--out-dir", str(tmp_path / "out"))
+    assert rc == 1 and "usage error" in err and named in err, err
+
+
+def test_malformed_space_file_is_usage_error(tmp_path, capsys):
+    space_file = tmp_path / "space.json"
+    for payload, named in (([{"alpha": 0.5, "hiden": 8}], "'hiden'"),
+                           ({"alpha": 0.5}, "JSON array")):
+        space_file.write_text(json.dumps(payload))
+        rc, _, err = run(capsys, "gridsearch", *dataset_args(HAND7), "--space-file",
+                         str(space_file), "--out-dir", str(tmp_path / "out"))
+        assert rc == 1 and "usage error" in err and named in err, err
+
+
+@pytest.mark.parametrize("manifest", [{}, [], {"argv": "train"}, {"argv": [1]}])
+def test_manifest_without_argv_list_is_data_error(tmp_path, capsys, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    rc, _, err = run(capsys, "rerun", "--manifest", str(path))
+    assert rc == 2 and "data error" in err and "argv" in err, err

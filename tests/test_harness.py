@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalegraph import scales
+from scalegraph import models, scales
 from scalegraph.autodiff import AdamState, adam_step, backward, softmax_cross_entropy
 from scalegraph.graphdata import DirectedGraph, generate_dsbm, make_random_splits
 from scalegraph.harness import (
@@ -230,6 +230,13 @@ def test_cross_validate_builds_one_matrix_family(toy, family_builds):
 # -- per-scale report -----------------------------------------------------------------
 
 
+def test_first_scale_columns_build_no_matrix_family(toy, family_builds):
+    g, splits = toy
+    one = type(splits)([splits[0]])
+    per_scale_report(g, one, columns=["A", "A+T", "none"], train_cfg=FAST)
+    assert family_builds == []
+
+
 def test_per_scale_report_columns_and_none_baseline():
     # imbalanced labels make the no-input control land exactly on the
     # majority-class rate of the test split
@@ -323,6 +330,21 @@ def test_grid_search_builds_one_matrix_family(toy, family_builds):
                 for seed in [derive_seed(2, r.config.to_json(), s_idx)]]
         assert r.test_accs == [run.test_acc_at_best_val for run in runs]
     assert len(family_builds) == 1 + len(space) * len(splits)
+
+
+def test_grid_search_normalizes_each_word_once(toy, monkeypatch):
+    g, splits = toy
+    calls = []
+    normalize = models.sym_normalize
+    monkeypatch.setattr(models, "sym_normalize", lambda s: calls.append(s) or normalize(s))
+    # the ten scalenet configs of criterion 08, at a small size
+    space = [toy_cfg(alpha=alpha, beta=beta, selfloop_mode=selfloop)
+             for alpha in (0.5, 1.0) for beta in (-1.0, 0.5) for selfloop in ("add", "keep")]
+    space += [toy_cfg(alpha=-1.0, beta=0.5, selfloop_mode=selfloop)
+              for selfloop in ("add", "keep")]
+    grid_search(space, g, splits, train_cfg=TrainConfig(max_epochs=2))
+    # A and T under "add" and under "keep", AT and TA under "keep"
+    assert len(calls) == 6
 
 
 def test_grid_search_empty_space(toy):

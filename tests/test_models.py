@@ -17,6 +17,7 @@ from scalegraph.graphdata import DirectedGraph, DirectionProfile, generate_dsbm,
 from scalegraph import scales
 from scalegraph.models import (
     FAMILIES,
+    MatrixPlan,
     ModelConfig,
     agg_b,
     build_model,
@@ -50,6 +51,13 @@ def test_config_json_round_trip():
                       hidden=16, comb2="jk_max", use_bn=True)
     again = ModelConfig.from_json(cfg.to_json())
     assert again == cfg
+
+
+@pytest.mark.parametrize("text, named", [('{"alpah": 0.5}', "'alpah'"), ("[1, 2]", "object"),
+                                         ('{"hidden": "8"}', "'hidden'")])
+def test_config_from_json_names_a_bad_field(text, named):
+    with pytest.raises(ValueError, match=named):
+        ModelConfig.from_json(text)
 
 
 def test_config_validation():
@@ -154,7 +162,7 @@ def test_add_fusion_of_identical_blocks_triples_output(small_graph):
     cfg = ModelConfig(alpha=0.5, beta=0.5, gamma=0.5, layers=1, hidden=8,
                       comb1="add", use_relu=False)
     layer = build_model(cfg, small_graph, seed=3).layers[0]
-    channel = prepare_direction_blocks(small_graph.adjacency, cfg)[0]
+    channel = prepare_direction_blocks(MatrixPlan(small_graph.adjacency), cfg)[0]
     weight = Tensor(glorot_uniform(small_graph.d, cfg.hidden, np.random.default_rng(9)),
                     requires_grad=True)
     layer.channels, layer.weights = [channel] * 3, [weight] * 3
@@ -272,6 +280,7 @@ def test_first_scale_families_build_no_products(small_graph, monkeypatch):
     monkeypatch.setattr(scales, "spgemm", counted)
     for family in ("one_ig", "dirgnn_lite"):
         build_model(ModelConfig(family=family, selfloop_mode="add"), small_graph, seed=0)
+    build_model(ModelConfig(alpha=0.5), small_graph, seed=0)  # an alpha-only scalenet
     assert products == []
     build_model(ModelConfig(beta=0.5), small_graph, seed=0)
     assert len(products) == 4

@@ -1,11 +1,14 @@
 """Smoke runs of the experiment scripts at a tiny size, and a check of the parity tool."""
 
+import inspect
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from scalegraph import models
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -38,9 +41,10 @@ def test_parity_tool_sees_a_mutated_coefficient(tmp_path, mode):
                     ignore=shutil.ignore_patterns("__pycache__"))
     models_py = mutant / "scalegraph" / "models.py"
     text = models_py.read_text()
-    line = "_channels(_first_scale(adj, cfg), coef=0.5)"
-    assert text.count(line) == 1
-    models_py.write_text(text.replace(line, line.replace("0.5", "0.51")))
+    # scale the N-side coefficient of the direction law by 1.01
+    line = inspect.getsource(models.direction_coefficients).rstrip().splitlines()[-1]
+    assert line.lstrip().startswith("return ") and text.count(line) == 1
+    models_py.write_text(text.replace(line, line + " * 1.01"))
     moved = _parity(src, mutant, mode)
     assert moved.returncode == 1, moved.stdout + moved.stderr
     assert ("mismatch families/" if mode == "bits" else "FAIL") in moved.stdout
