@@ -77,7 +77,7 @@ def _small_sweep(harness, models, graphdata):
             seed = 10 * i + j
             harness.train(models.build_model(cfg, g, seed=seed), g, splits.splits[0], tc,
                           seed=seed)
-    # both sides of every pair, so A/T and AA/TT each propagate through two partners
+    # both sides of every pair, so every pair propagates through one blended matrix
     for j, extra in enumerate(variants.values()):
         cfg = models.ModelConfig(layers=2, hidden=8, lr=0.05, alpha=0.5, beta=0.5, gamma=0.5,
                                  selfloop_mode="remove", second_scale_selfloops="remove",

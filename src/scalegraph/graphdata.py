@@ -9,6 +9,7 @@ File formats (all plain text, trivially portable):
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -204,10 +205,34 @@ def _read_labels(path):
     return np.asarray(labels, dtype=np.int64)
 
 
+# lines of features.csv that one split reads
+_FEATURE_BLOCK_LINES = 1024
+
+
 def _read_features(path, n):
+    """The ``n`` x width array of a text of comma-separated floats, one row per line. Text
+    of ``n`` lines with the same number of commas is read with one split per block of
+    lines, so few number objects live at once; any other text line by line, which also
+    finds the first bad line."""
+    lines = Path(path).read_text().splitlines()
+    if len(lines) == n and len(set(map(str.count, lines, repeat(",")))) == 1:
+        out = np.empty((n, lines[0].count(",") + 1))
+        try:
+            for i in range(0, n, _FEATURE_BLOCK_LINES):
+                block = out[i:i + _FEATURE_BLOCK_LINES]
+                fields = ",".join(lines[i:i + _FEATURE_BLOCK_LINES]).split(",")
+                block.flat = np.fromiter(map(float, fields), float, count=block.size)
+        except ValueError:  # an empty or bad value
+            pass
+        else:
+            return out
+    return _feature_lines(path, lines, n)
+
+
+def _feature_lines(path, lines, n):
     rows = []
     width = None
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue

@@ -2,9 +2,10 @@
 
 Every family stacks one layer type. A layer takes a list of channels; each
 channel is a tuple of (normalized matrix S, coefficient c) terms with its own
-weight W and computes sum_k c_k * S_k (X W). The empty channel is the
-identity, which makes the feature-only MLP. The channel outputs are fused,
-then a bias and the optional batchnorm / relu / dropout follow.
+weight W and computes sum_k c_k * S_k (X W). Every family's channels hold one
+term, so one SpMM each. The empty channel is the identity, which makes the
+feature-only MLP. The channel outputs are fused, then a bias and the optional
+batchnorm / relu / dropout follow.
 
 Layer 1's input is the graph's features, a constant, so its channels are
 reassociated: the model precomputes P_c = sum_k c_k * S_k X once when it is
@@ -24,6 +25,12 @@ The special values a = 2 and a = 3 aggregate over the union respectively the
 intersection of the two supports instead. Three such pairs (first-scale pair,
 meeting pair, two-hop pair) feed an intra-layer fusion, and stacked layers feed
 a cross-layer fusion (jumping-knowledge max/concat or plain addition/last).
+
+The layer is linear in the pair, so a pair that keeps both sides is the one
+matrix c_M * S_M + c_N * S_N (``MatrixPlan.blend``): one SpMM per channel,
+forward and backward. A balanced pair's blend is its own transpose; a lone
+side (a = 0 or a = 1) is its normalized word, whose transpose is its
+partner's word when the plan has built that too.
 """
 
 import json
@@ -59,6 +66,7 @@ from scalegraph.sparse import (
     pattern_union,
     sym_normalize,
     transpose,
+    weighted_sum,
 )
 
 DIRECTION_VALUES = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
@@ -172,11 +180,14 @@ def agg_b(alpha: float, m: SparseMatrix, n: SparseMatrix, x: Tensor, weight: Ten
         raise ValueError(f"alpha must be one of {DIRECTION_VALUES}, got {alpha}")
     if alpha == -1:
         return Tensor(np.zeros((m.n_rows, weight.data.shape[1])))
+    c_m, c_n = direction_coefficients(alpha)
     if alpha in (2.0, 3.0):
-        channel = (((pattern_union if alpha == 2.0 else pattern_intersection)(m, n), 1.0),)
+        term = ((pattern_union if alpha == 2.0 else pattern_intersection)(m, n), 1.0)
+    elif c_m and c_n:
+        term = (weighted_sum(m, n, c_m, c_n), 1.0)
     else:
-        channel = tuple((s, c) for s, c in zip((m, n), direction_coefficients(alpha)) if c != 0.0)
-    return propagate(channel, matmul(x, weight))
+        term = (m, c_m) if c_m else (n, c_n)
+    return propagate((term,), matmul(x, weight))
 
 
 class MatrixPlan:
@@ -185,12 +196,15 @@ class MatrixPlan:
     ``scales.model_matrix_family`` call per self-loop mode. A normalized word is linked
     (``link_transposes``) to that of its transpose, the word reversed with A and T swapped:
     entry (i, j) of one and (j, i) of the other are both ``(1.0 * r_i) * c_j`` over the same
-    integer sums. Layer-1 inputs are not kept, as a plan lives for a whole grid."""
+    integer sums. Pair blends and proximity matrices are built once too. Layer-1 inputs are
+    not kept, as a plan lives for a whole grid."""
 
     def __init__(self, adj: SparseMatrix):
         self.adj = adj.pattern()
         self._words = {}
         self._normalized = {}
+        self._blends = {}
+        self._proximity = {}
 
     def word(self, word, mode):
         if (word, mode) not in self._words:
@@ -210,6 +224,24 @@ class MatrixPlan:
                 link_transposes(s, partner)
         return self._normalized[word, mode]
 
+    def blend(self, words, mode, c_m, c_n):
+        """``c_m * S_M + c_n * S_N`` of the pair ``words`` = (M, N) under ``mode``. N is M's
+        transpose (A/T, AA/TT) or both are symmetric (AT/TA), so a blend with c_m == c_n is
+        marked symmetric: its (j, i) entry sums the same two products as its (i, j) entry."""
+        key = (words, mode, c_m, c_n)
+        if key not in self._blends:
+            m, n = (self.word(w, mode) for w in words)
+            b = self._blends[key] = weighted_sum(m, n, c_m, c_n, normalize=True)
+            if c_m == c_n:
+                link_transposes(b, b)
+        return self._blends[key]
+
+    def proximity(self, k, combine):
+        """The normalized order-``k`` proximity matrix, its generated self-loops pruned."""
+        if (k, combine) not in self._proximity:
+            self._proximity[k, combine] = self.symmetric(proximity_matrix(self.adj, k, combine))
+        return self._proximity[k, combine]
+
     @staticmethod
     def symmetric(pattern):
         """``sym_normalize`` of a symmetric pattern, marked as its own transpose."""
@@ -219,8 +251,9 @@ class MatrixPlan:
 
 
 def prepare_direction_blocks(plan: MatrixPlan, cfg: ModelConfig):
-    """Normalized channels of ``cfg``'s kept direction pairs, whose unions and intersections
-    are symmetric. No product runs while normalized values are held: patterns come first."""
+    """One channel of one normalized term per kept direction pair of ``cfg``: the pair's
+    blend, its lone side, or its symmetric union or intersection. No product runs while
+    normalized values are held: patterns come first."""
     first, second = cfg.selfloop_mode, cfg.second_scale_selfloops
     pairs = [(param, words, mode) for param, words, mode in (
         (cfg.alpha, ("A", "T"), first), (cfg.beta, ("AT", "TA"), second),
@@ -234,8 +267,11 @@ def prepare_direction_blocks(plan: MatrixPlan, cfg: ModelConfig):
             combine = pattern_union if param == 2.0 else pattern_intersection
             blocks.append(((plan.symmetric(combine(m, n)), 1.0),))
         else:
-            blocks.append(tuple((plan.normalized(w, mode), c) for w, c in
-                                zip(words, direction_coefficients(param)) if c != 0.0))
+            c_m, c_n = direction_coefficients(param)
+            if c_m and c_n:
+                blocks.append(((plan.blend(words, mode, c_m, c_n), 1.0),))
+            else:
+                blocks.append(((plan.normalized(words[0 if c_m else 1], mode), c_m or c_n),))
     return blocks
 
 
@@ -374,7 +410,7 @@ def _inception(*proximity):
     """Channels A and T, then one per pruned proximity matrix (hops, mode)."""
     def channels(plan, cfg):
         return _channels([plan.normalized(w, cfg.selfloop_mode) for w in ("A", "T")] + [
-            plan.symmetric(proximity_matrix(plan.adj, k, mode, True)) for k, mode in proximity])
+            plan.proximity(k, mode) for k, mode in proximity])
     return channels
 
 

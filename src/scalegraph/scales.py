@@ -98,7 +98,7 @@ def _proximity_side(adj, k, forward_first, prune):
     if k < 2:
         raise ValueError("proximity order k must be >= 2")
     a = adj.pattern()
-    at = transpose(a)
+    at = transpose(adj).pattern()  # kept on ``adj``, so a plan's adjacency sorts once
     left, right = (a, at) if forward_first else (at, a)
     prox = spgemm(left, right, "pattern")
     if prune:

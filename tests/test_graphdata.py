@@ -122,6 +122,32 @@ def test_parse_errors_carry_line_numbers(tmp_path):
                      HAND7 / "labels.txt", HAND7 / "splits.json")
 
 
+@pytest.mark.parametrize("text", [
+    "1.0,2.5\n-3e-2,4\n0.5,0.25\n", "1.0,2.5\n-3e-2,4\n0.5,0.25",  # plain text
+    "1.0, 2.5\r\n-3e-2 ,4\r\n0.5,0.25\r\n", "1.0,2.5\n\n-3e-2,4\n  \n0.5,0.25\n",
+    "1.0,2.5\n-3e-2,4\n0.5,0.25\x0c",
+])
+def test_split_and_line_by_line_feature_reads_agree(tmp_path, text):
+    path = tmp_path / "features.csv"
+    path.write_text(text)
+    got = graphdata._read_features(path, 3)
+    want = graphdata._feature_lines(path, path.read_text().splitlines(), 3)
+    assert np.array_equal(got, want) and got.shape == (3, 2)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,2\n3\n4,5,6\n", "line 2: expected 2 values"),  # 2 + 1 + 3 values: 3 x 2 in all
+    ("1,2\n3,,\n4,5\n", "line 2: bad feature value"),
+    ("1,2\x0c,3\n4,5,6\n7,8,9\n", "line 2: bad feature value"),  # a form feed ends a line
+    ("1,2\n3,4\n", "expected 3 feature rows, found 2"),
+])
+def test_feature_reads_report_the_first_bad_line(tmp_path, text, message):
+    path = tmp_path / "features.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=message):
+        graphdata._read_features(path, 3)
+
+
 # -- statistics ----------------------------------------------------------------
 
 

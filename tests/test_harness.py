@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalegraph import models, scales
+from scalegraph import models, scales, sparse
 from scalegraph.autodiff import AdamState, adam_step, backward, softmax_cross_entropy
 from scalegraph.graphdata import DirectedGraph, generate_dsbm, make_random_splits
 from scalegraph.harness import (
@@ -334,17 +334,36 @@ def test_grid_search_builds_one_matrix_family(toy, family_builds):
 
 def test_grid_search_normalizes_each_word_once(toy, monkeypatch):
     g, splits = toy
-    calls = []
-    normalize = models.sym_normalize
-    monkeypatch.setattr(models, "sym_normalize", lambda s: calls.append(s) or normalize(s))
+    normalized, blends = [], []
+    normalize, blend = models.sym_normalize, models.weighted_sum
+    monkeypatch.setattr(models, "sym_normalize", lambda s: normalized.append(s) or normalize(s))
+    monkeypatch.setattr(models, "weighted_sum",
+                        lambda *args, **kw: blends.append(args) or blend(*args, **kw))
     # the ten scalenet configs of criterion 08, at a small size
     space = [toy_cfg(alpha=alpha, beta=beta, selfloop_mode=selfloop)
              for alpha in (0.5, 1.0) for beta in (-1.0, 0.5) for selfloop in ("add", "keep")]
     space += [toy_cfg(alpha=-1.0, beta=0.5, selfloop_mode=selfloop)
               for selfloop in ("add", "keep")]
     grid_search(space, g, splits, train_cfg=TrainConfig(max_epochs=2))
-    # A and T under "add" and under "keep", AT and TA under "keep"
-    assert len(calls) == 6
+    # the lone A of alpha = 1 under "add" and under "keep"
+    assert len(normalized) == 2
+    # the A/T blend under "add" and under "keep", the AT/TA blend under "keep"
+    assert len(blends) == 3
+
+
+def test_grid_search_builds_each_proximity_matrix_once(monkeypatch):
+    g = generate_dsbm(60, 3, 0.15, 0.03, seed=5)
+    splits = make_random_splits(g, n_splits=2, seed=0)
+    products, sorts = [], []
+    spgemm, sort = scales.spgemm, sparse._sorted_transpose
+    monkeypatch.setattr(scales, "spgemm", lambda *args: products.append(args) or spgemm(*args))
+    monkeypatch.setattr(sparse, "_sorted_transpose", lambda s: sorts.append(s) or sort(s))
+    space = [ModelConfig(family="one_igu3", layers=1, hidden=4, lr=lr) for lr in (0.01, 0.05)]
+    grid_search(space, g, splits, train_cfg=TrainConfig(max_epochs=2))
+    # both sides of the order-2 matrix (one product each) and of the order-3 one (three
+    # each), and the plan's one sort of A
+    assert len(products) == 8
+    assert len(sorts) == 1 and sorts[0].nnz == g.adjacency.nnz
 
 
 def test_grid_search_empty_space(toy):

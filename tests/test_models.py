@@ -33,6 +33,7 @@ from scalegraph.sparse import (
     pattern_union,
     sym_normalize,
     transpose,
+    weighted_sum,
 )
 
 from conftest import random_digraph
@@ -149,13 +150,20 @@ def test_agg_b_rejects_unknown_alpha():
 def test_single_pair_config_reduces_to_first_scale(small_graph):
     cfg = ModelConfig(alpha=0.5, beta=-1, gamma=-1, layers=1, hidden=8)
     channels = build_model(cfg, small_graph, seed=0).layers[0].channels
-    assert len(channels) == 1 and len(channels[0]) == 2
+    assert len(channels) == 1 and len(channels[0]) == 1
+    (blend, coef), = channels[0]
+    fam = model_matrix_family(small_graph.adjacency)
+    assert coef == 1.0 and blend.pattern() == pattern_union(fam["A"], fam["T"])
 
 
 def test_all_pairs_config_uses_six_matrices(small_graph):
+    # three blends, each over the union of its pair's two words
     cfg = ModelConfig(alpha=0.5, beta=0.5, gamma=0.5, layers=1, hidden=8)
     channels = build_model(cfg, small_graph, seed=0).layers[0].channels
-    assert len(channels) == 3 and sum(len(channel) for channel in channels) == 6
+    assert len(channels) == 3 and all(len(channel) == 1 for channel in channels)
+    fam = model_matrix_family(small_graph.adjacency)
+    for ((blend, coef),), (m, n) in zip(channels, (("A", "T"), ("AT", "TA"), ("AA", "TT"))):
+        assert coef == 1.0 and blend.pattern() == pattern_union(fam[m], fam[n])
 
 
 def test_add_fusion_of_identical_blocks_triples_output(small_graph):
@@ -236,9 +244,9 @@ def expected_wiring(row, adj, fam):
         return [((sym_normalize(fam["A"]), 2.0),),
                 ((sym_normalize(pattern_union(fam["AT"], fam["TA"])), 1.0),),
                 ((sym_normalize(pattern_intersection(fam["AA"], fam["TT"])), 1.0),)], "jk_max"
-    if row == "scalenet_pairs":  # alpha=0 drops A, beta=0.5 keeps both, gamma=-1 excluded
-        return [((sym_normalize(fam["T"]), 1.0),),
-                ((sym_normalize(fam["AT"]), 0.75), (sym_normalize(fam["TA"]), 0.75))], "jk_max"
+    if row == "scalenet_pairs":  # alpha=0 drops A, beta=0.5 blends both, gamma=-1 excluded
+        blend = weighted_sum(sym_normalize(fam["AT"]), sym_normalize(fam["TA"]), 0.75, 0.75)
+        return [((sym_normalize(fam["T"]), 1.0),), ((blend, 1.0),)], "jk_max"
     if row == "mlp":
         return [()], "add"
     if row == "gcn":
@@ -389,7 +397,7 @@ def test_precomputed_layer_one_runs_no_sparse_product(small_graph, monkeypatch):
     model.forward(small_graph.features)
     assert calls == []
     model.forward(small_graph.features.copy())
-    assert len(calls) == 4
+    assert calls == channel_matrices(model)  # one product per blended pair
 
 
 def test_snapshot_restore_round_trip(small_graph):
@@ -478,6 +486,50 @@ def test_other_families_train_without_sorting_a_transpose(small_graph, monkeypat
     assert sorts == []
 
 
+@pytest.mark.parametrize("profile", [DirectionProfile(), DirectionProfile("out", 0.3)])
+def test_every_balanced_blend_is_its_sorted_transpose(profile):
+    g = generate_dsbm(40, 3, 0.2, 0.05, profile=profile, seed=6)
+    plan = MatrixPlan(g.adjacency)
+    c_m, c_n = direction_coefficients(0.5)
+    assert c_m == c_n
+    for words, modes in ((("A", "T"), ("add", "remove", "keep")),
+                         (("AT", "TA"), ("keep", "remove")), (("AA", "TT"), ("keep", "remove"))):
+        for mode in modes:
+            blend = plan.blend(words, mode, c_m, c_n)
+            assert plan.blend(words, mode, c_m, c_n) is blend  # built once
+            assert transpose(blend) is blend
+            fresh = sparse._sorted_transpose(blend)
+            assert fresh == blend and fresh.values.tobytes() == blend.values.tobytes()
+
+
+def test_an_unbalanced_blend_stays_unmarked_and_its_gradients_check(small_graph, monkeypatch):
+    monkeypatch.setattr(models, "direction_coefficients",
+                        lambda a: ((1.0 + a) * a, (1.0 + a) * (1.0 - a) * 1.01))
+    cfg = ModelConfig(alpha=0.5, beta=-1.0, gamma=0.5, layers=2, hidden=5, comb1="jk_cat")
+    model = build_model(cfg, small_graph, seed=7)
+    blends = channel_matrices(model)
+    assert len(blends) == 2 and all(b._t_cache is None for b in blends)
+    idx = np.arange(small_graph.n)
+    features = small_graph.features.copy()  # layer 1 on the sparse path too
+
+    def loss():
+        logits = model.forward(features, training=True, rng=None)
+        return softmax_cross_entropy(logits, small_graph.labels, idx)
+
+    assert finite_diff_check(loss, model.params(), eps=1e-5, max_entries=12, seed=0) < 1e-4
+    for b in blends:  # the backward sorted each blend's transpose, which is not the blend
+        assert transpose(b) == sparse._sorted_transpose(b) and transpose(b) != b
+
+
+def test_balanced_scalenet_trains_without_sorting_a_transpose(small_graph, monkeypatch):
+    model = build_model(ModelConfig(alpha=0.5, beta=0.5, gamma=0.5, layers=2, hidden=4),
+                        small_graph, seed=1)
+    sorts = count_sorts(monkeypatch)
+    split = make_random_splits(small_graph, seed=0)[0]
+    harness.train(model, small_graph, split, harness.TrainConfig(max_epochs=2), seed=1)
+    assert sorts == []
+
+
 def test_dropping_a_trained_scalenet_frees_its_matrices_without_the_cycle_collector(
         small_graph):
     gc.disable()
@@ -485,8 +537,8 @@ def test_dropping_a_trained_scalenet_frees_its_matrices_without_the_cycle_collec
         model = train_two_epochs(ModelConfig(alpha=0.5, beta=0.5, gamma=0.5, layers=2,
                                              hidden=4), small_graph)
         values = [weakref.ref(m.values) for m in channel_matrices(model)]
-        assert len(values) == 6
+        assert len(values) == 3  # one blend per pair
         del model
-        assert [v() for v in values] == [None] * 6
+        assert [v() for v in values] == [None] * 3
     finally:
         gc.enable()

@@ -20,8 +20,10 @@ from scalegraph.sparse import (
     pattern_union,
     remove_self_loops,
     spgemm,
+    apply_selfloop_mode,
     sym_normalize,
     transpose,
+    weighted_sum,
 )
 
 from conftest import random_digraph, random_weighted
@@ -82,6 +84,38 @@ def test_nonfinite_values_rejected():
 def test_column_out_of_range_rejected():
     with pytest.raises(ValueError):
         SparseMatrix.from_coo(2, 2, [0], [5], [1.0])
+
+
+@pytest.mark.parametrize("at", range(9))
+def test_order_check_sees_every_pair_across_chunk_edges(monkeypatch, at):
+    # chunks of 4 entry pairs: pairs (3, 4) and (7, 8) cross chunk edges
+    monkeypatch.setattr(sparse, "_CHECK_CHUNK", 4)
+    cols = list(range(10))
+    cols[at], cols[at + 1] = cols[at + 1], cols[at]
+    with pytest.raises(ValueError, match="strictly increasing within rows"):
+        SparseMatrix(1, 10, [0, 10], cols, np.ones(10))
+    # the same columns are valid when entry ``at + 1`` starts a row: rows [0, at] and the rest
+    s = SparseMatrix(2, 10, [0, at + 1, 10], cols, np.ones(10))
+    assert s.nnz == 10
+    # empty rows at a chunk edge, and a row repeating the columns of the one before
+    SparseMatrix(4, 10, [0, 4, 4, 4, 8], [0, 1, 2, 3, 0, 1, 2, 3], np.ones(8))
+
+
+def test_pattern_values_are_read_only_views_of_one_buffer():
+    rng = np.random.default_rng(41)
+    a = SparseMatrix.from_edges(6, [0, 1, 2, 2, 5], [1, 1, 0, 2, 3])
+    b = random_digraph(rng, 6, 0.4)
+    patterns = [a, b.pattern(), transpose(a), spgemm(a, b, "pattern"), pattern_union(a, b),
+                pattern_intersection(a, b), pattern_difference(a, b), add_self_loops(a),
+                remove_self_loops(add_self_loops(a)), SparseMatrix.identity(4)]
+    for p in patterns:
+        assert np.array_equal(p.values, np.ones(p.nnz))
+        assert p.values.base is patterns[0].values.base and p.values.strides == (0,)
+        assert not p.values.flags.writeable
+    # a weighted matrix keeps its own values through the same operations
+    w = random_weighted(rng, 6, 6)
+    for p in (transpose(w), remove_self_loops(w), add_self_loops(w)):
+        assert p.values.base is not a.values.base
 
 
 # -- transpose ---------------------------------------------------------------
@@ -529,6 +563,47 @@ def test_normalize_path_dense_oracle():
         assert np.allclose(out.to_dense(), expect)
 
 
+def selfloop_cases(rng, n):
+    """Patterns of a graph with self-loops and with isolated nodes (zero sums), under each
+    self-loop mode; then two unrelated graphs, and two weighted matrices."""
+    a = SparseMatrix.from_dense(random_digraph(rng, n, 0.25, allow_self_loops=True).to_dense()
+                                * (np.arange(n) % 4 != 0)).pattern()
+    for mode in ("add", "remove", "keep"):
+        m = apply_selfloop_mode(a, mode)
+        yield m, transpose(m)
+    yield a, random_digraph(rng, n, 0.3).pattern()
+    yield random_weighted(rng, n, n), random_weighted(rng, n, n)
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+def test_weighted_sum_is_the_sum_of_the_normalized_sides(monkeypatch, block):
+    if block:  # blocks of 1 or 7 entries: many blocks, and rows longer than a block
+        monkeypatch.setattr(sparse, "_SUM_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(43)
+    for m, n in selfloop_cases(rng, 13):
+        for c_m, c_n in ((0.75, 0.75), (2.0, 0.5), (1.0, 1.0), (0.3, 1.7)):
+            got = weighted_sum(m, n, c_m, c_n, normalize=True)
+            s_m, s_n = sym_normalize(m), sym_normalize(n)
+            want = weighted_sum(s_m, s_n, c_m, c_n)
+            assert got == want and got.values.tobytes() == want.values.tobytes()
+            assert got.pattern() == pattern_union(m, n)
+            assert np.array_equal(got.to_dense(), c_m * s_m.to_dense() + c_n * s_n.to_dense())
+
+
+def test_weighted_sum_of_values_matches_dense_oracle():
+    rng = np.random.default_rng(47)
+    for shape in ((5, 8), (8, 5), (1, 1), (0, 3)):
+        m, n = random_weighted(rng, *shape), random_weighted(rng, *shape)
+        got = weighted_sum(m, n, 1.5, -0.25)
+        assert np.array_equal(got.to_dense(), 1.5 * m.to_dense() + -0.25 * n.to_dense())
+        assert got.pattern() == pattern_union(m, n)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        weighted_sum(SparseMatrix.empty(2, 2), SparseMatrix.empty(2, 3), 1.0, 1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        weighted_sum(SparseMatrix.from_dense([[-1.0]]), SparseMatrix.empty(1, 1), 1.0, 1.0,
+                     normalize=True)
+
+
 def test_normalize_rejects_negative_values():
     s = SparseMatrix.from_coo(2, 2, [0], [1], [-1.0])
     with pytest.raises(ValueError):
@@ -584,6 +659,28 @@ def test_edge_list_comments_and_errors():
         parse_edge_list("0\t1\nnope\n")
     with pytest.raises(ValueError, match="out of range"):
         parse_edge_list("0\t5\n", n=3)
+
+
+@pytest.mark.parametrize("text", [
+    "", "0\t1\n", "0\t1", "3 0\n0\t2\n", "10\t0\n0\t10\n0\t10\n",  # plain text
+    "0\t1\n\n2\t0\n", "0\t1\n \n2\t0\n", "\t\n", " 0\t1\n", "0\t1\r\n2\t0\r\n", "0\t\t1\n",
+    "0\t1 # c\n",
+    "0\t+1\n",
+])
+def test_plain_and_line_by_line_edge_reads_agree(monkeypatch, text):
+    got = parse_edge_list(text)
+    monkeypatch.setattr(sparse, "_plain_edge_ends", lambda text: None)
+    assert got == parse_edge_list(text)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0\t1\t2\n3\n", 1),  # three ends then one: the right count of numbers in all
+    ("0\t1\n2\n3\t4\t5\n", 2), ("0\t1\n-2\t3\n", 2), ("0\t1\n2\t3x\n", 2),
+    ("0\x0c1\n", 1),  # a form feed ends a line
+])
+def test_edge_list_reports_the_first_bad_line(text, line):
+    with pytest.raises(ValueError, match=f"line {line}:"):
+        parse_edge_list(text)
 
 
 def test_coordinate_text_round_trip():
