@@ -233,6 +233,8 @@ def _any_model_flag(args):
 
 
 def _cmd_gridsearch(args, argv):
+    if args.max_configs is not None and args.max_configs < 1:
+        raise _UsageExit(f"--max-configs must be at least 1, got {args.max_configs}")
     base = _model_config(args)
     out = _prepare_out_dir(args, argv, config=base)
     graph, splits = _load_graph(args)
@@ -243,7 +245,7 @@ def _cmd_gridsearch(args, argv):
         space = [ModelConfig.from_dict(entry) for entry in entries]
     else:
         space = default_grid_space(base)
-    if args.max_configs:
+    if args.max_configs is not None:
         space = space[: args.max_configs]
     ranked = grid_search(space, graph, splits, train_cfg=_train_config(args),
                          base_seed=args.seed)
@@ -258,7 +260,8 @@ def _read_series(spec: str):
     path = Path(spec)
     if path.exists():
         payload = json.loads(path.read_text())
-        if not isinstance(payload, list):
+        if not isinstance(payload, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in payload):
             raise DataError(f"{spec}: expected a JSON array of numbers")
         return [float(v) for v in payload]
     try:

@@ -412,40 +412,3 @@ def make_random_splits(g: DirectedGraph, n_splits=1, train_frac=0.5, val_frac=0.
         splits.append((train, val, test))
     return SplitSet(splits).validate(g.n)
 
-
-def make_imbalanced_split(g: DirectedGraph, base: SplitSet, ratio: int, seed=0) -> SplitSet:
-    """Subsample each train set so largest:smallest class count equals ``ratio``.
-
-    The smallest class is forced to max(1, floor(min_available / ratio)) and
-    the largest to exactly ratio times that; intermediate classes interpolate
-    linearly by size rank, capped by availability. Val/test are untouched.
-    """
-    if ratio < 1:
-        raise ValueError("imbalance ratio must be >= 1")
-    rng = np.random.default_rng(seed)
-    out = []
-    for s in base.splits:
-        counts = np.bincount(g.labels[s.train], minlength=g.n_classes)
-        classes = np.flatnonzero(counts)
-        avail = counts[classes]
-        small = max(1, int(avail.min()) // int(ratio))
-        large = small * int(ratio)
-        if large > avail.max():
-            raise DataError(f"infeasible ratio {ratio}: largest class has only "
-                            f"{int(avail.max())} train nodes, need {large}")
-        order = np.argsort(-avail, kind="stable")
-        k = len(classes)
-        targets = np.empty(k, dtype=np.int64)
-        for rank, pos in enumerate(order):
-            frac = rank / (k - 1) if k > 1 else 1.0
-            want = int(round(large + (small - large) * frac))
-            targets[pos] = min(want, avail[pos])
-        targets[order[0]] = large
-        targets[order[-1]] = small
-        train = []
-        for cls, take in zip(classes, targets):
-            members = s.train[g.labels[s.train] == cls]
-            picked = rng.choice(members, size=int(take), replace=False)
-            train.extend(int(i) for i in picked)
-        out.append((train, s.val, s.test))
-    return SplitSet(out).validate(g.n)

@@ -439,7 +439,7 @@ def _normal_two_sided_p(ranks, w, n):
 
 
 def wilcoxon_signed_rank(xs, ys, method: str = "auto") -> ComparisonResult:
-    """Two-sided Wilcoxon signed-rank test on paired observations.
+    """Two-sided Wilcoxon signed-rank test on paired finite observations.
 
     Zero differences are dropped; tied absolute differences get average ranks.
     The statistic is min(W+, W-). Exact enumeration is used for n <= 25 (or on
@@ -449,6 +449,8 @@ def wilcoxon_signed_rank(xs, ys, method: str = "auto") -> ComparisonResult:
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError("xs and ys must be 1-D sequences of equal length")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("xs and ys must be finite")
     diffs = xs - ys
     diffs = diffs[diffs != 0.0]
     if len(diffs) == 0:

@@ -1,18 +1,16 @@
 """Direction-aware GNN model zoo over precomputed scaled adjacency matrices.
 
-Every family stacks one layer type. A layer takes a list of channels; each
-channel is a tuple of (normalized matrix S, coefficient c) terms with its own
-weight W and computes sum_k c_k * S_k (X W). Every family's channels hold one
-term, so one SpMM each. The empty channel is the identity, which makes the
-feature-only MLP. The channel outputs are fused, then a bias and the optional
-batchnorm / relu / dropout follow.
+Every family stacks one layer type. A layer takes a list of channels, each with
+its own weight W: a channel is a pair (S, c) of a normalized matrix and a
+coefficient and computes c * S (X W), one SpMM; the channel ``None`` is the
+identity, which makes the feature-only MLP. The channel outputs are fused, then
+a bias and the optional batchnorm / relu / dropout follow.
 
 Layer 1's input is the graph's features, a constant, so its channels are
-reassociated: the model precomputes P_c = sum_k c_k * S_k X once when it is
-built and layer 1 runs one dense product P_c W per channel, with no sparse
-product in its forward or backward (as SIGN and SGC precompute propagated
-features). A forward on any other feature array, and every later layer, takes
-the sparse path.
+reassociated: the model precomputes P_c = c * S X once when it is built and
+layer 1 runs one dense product P_c W per channel, with no sparse product in its
+forward or backward (as SIGN and SGC precompute propagated features). A forward
+on any other feature array, and every later layer, takes the sparse path.
 
 ScaleNet builds its channels from pairs of opposite-direction matrices (M, N)
 blended through one directional parameter:
@@ -30,7 +28,8 @@ The layer is linear in the pair, so a pair that keeps both sides is the one
 matrix c_M * S_M + c_N * S_N (``MatrixPlan.blend``): one SpMM per channel,
 forward and backward. A balanced pair's blend is its own transpose; a lone
 side (a = 0 or a = 1) is its normalized word, whose transpose is its
-partner's word when the plan has built that too.
+partner's word when the plan has built that too. ``pair_channel`` states this
+pair rule once, for the models and for the reference ``agg_b``.
 """
 
 import json
@@ -151,13 +150,14 @@ def direction_coefficients(alpha: float):
 
 
 def propagate(channel, h: Tensor) -> Tensor:
-    """Sum of c * S h over the channel's terms; the empty channel is the identity.
+    """c * S h of the channel (S, c); the channel ``None`` is the identity.
 
     A coefficient of 1.0 skips ``scale``, which would multiply by 1 exactly.
     """
-    if not channel:
+    if channel is None:
         return h
-    return fuse([spmm(s, h) if c == 1.0 else scale(spmm(s, h), c) for s, c in channel], "add")
+    s, c = channel
+    return spmm(s, h) if c == 1.0 else scale(spmm(s, h), c)
 
 
 def fuse(outs, mode, proj=None):
@@ -170,24 +170,34 @@ def fuse(outs, mode, proj=None):
     return reduce(maximum if mode == "jk_max" else add, outs)
 
 
+def pair_channel(alpha, side, blend, combined):
+    """The channel (S, c) of a direction pair (M, N) under ``alpha`` != -1: alpha = 2 and 3
+    take ``combined(pattern_union)`` and ``combined(pattern_intersection)``; two non-zero
+    coefficients take ``blend(c_m, c_n)``, each with c = 1; otherwise ``side(i)``, side 0
+    (M) or 1 (N), with its non-zero coefficient."""
+    if alpha in (2.0, 3.0):
+        return combined(pattern_union if alpha == 2.0 else pattern_intersection), 1.0
+    c_m, c_n = direction_coefficients(alpha)
+    if c_m and c_n:
+        return blend(c_m, c_n), 1.0
+    return side(0 if c_m else 1), c_m or c_n
+
+
 def agg_b(alpha: float, m: SparseMatrix, n: SparseMatrix, x: Tensor, weight: Tensor) -> Tensor:
     """Bidirectional aggregation of the matrix pair (m, n) with shared weight.
 
-    alpha = 2 aggregates over the support union, alpha = 3 over the
+    ``m`` and ``n`` are already normalized; the rule is the models' ``pair_channel``:
+    alpha = 2 aggregates over the (unnormalized) support union, alpha = 3 over the
     intersection; alpha = -1 yields an exactly zero block.
     """
     if float(alpha) not in DIRECTION_VALUES:
         raise ValueError(f"alpha must be one of {DIRECTION_VALUES}, got {alpha}")
     if alpha == -1:
         return Tensor(np.zeros((m.n_rows, weight.data.shape[1])))
-    c_m, c_n = direction_coefficients(alpha)
-    if alpha in (2.0, 3.0):
-        term = ((pattern_union if alpha == 2.0 else pattern_intersection)(m, n), 1.0)
-    elif c_m and c_n:
-        term = (weighted_sum(m, n, c_m, c_n), 1.0)
-    else:
-        term = (m, c_m) if c_m else (n, c_n)
-    return propagate((term,), matmul(x, weight))
+    channel = pair_channel(alpha, lambda i: (m, n)[i],
+                           lambda c_m, c_n: weighted_sum(m, n, c_m, c_n),
+                           lambda combine: combine(m, n))
+    return propagate(channel, matmul(x, weight))
 
 
 class MatrixPlan:
@@ -251,9 +261,9 @@ class MatrixPlan:
 
 
 def prepare_direction_blocks(plan: MatrixPlan, cfg: ModelConfig):
-    """One channel of one normalized term per kept direction pair of ``cfg``: the pair's
-    blend, its lone side, or its symmetric union or intersection. No product runs while
-    normalized values are held: patterns come first."""
+    """The ``pair_channel`` of each kept direction pair of ``cfg``, over normalized
+    matrices of ``plan``: the pair's blend, its lone side, or its symmetric union or
+    intersection. No product runs while normalized values are held: patterns come first."""
     first, second = cfg.selfloop_mode, cfg.second_scale_selfloops
     pairs = [(param, words, mode) for param, words, mode in (
         (cfg.alpha, ("A", "T"), first), (cfg.beta, ("AT", "TA"), second),
@@ -261,18 +271,10 @@ def prepare_direction_blocks(plan: MatrixPlan, cfg: ModelConfig):
     if not pairs:
         raise ValueError("all direction blocks are excluded")
     sides = [[plan.word(w, mode) for w in words] for _, words, mode in pairs]
-    blocks = []
-    for (param, words, mode), (m, n) in zip(pairs, sides):
-        if param in (2.0, 3.0):
-            combine = pattern_union if param == 2.0 else pattern_intersection
-            blocks.append(((plan.symmetric(combine(m, n)), 1.0),))
-        else:
-            c_m, c_n = direction_coefficients(param)
-            if c_m and c_n:
-                blocks.append(((plan.blend(words, mode, c_m, c_n), 1.0),))
-            else:
-                blocks.append(((plan.normalized(words[0 if c_m else 1], mode), c_m or c_n),))
-    return blocks
+    return [pair_channel(param, lambda i: plan.normalized(words[i], mode),
+                         lambda c_m, c_n: plan.blend(words, mode, c_m, c_n),
+                         lambda combine: plan.symmetric(combine(m, n)))
+            for (param, words, mode), (m, n) in zip(pairs, sides)]
 
 
 # -- layers ---------------------------------------------------------------------
@@ -281,8 +283,9 @@ def prepare_direction_blocks(plan: MatrixPlan, cfg: ModelConfig):
 class Layer:
     """Channels with their own weights, a fusion, a bias and optional BN / ReLU / dropout.
 
-    Called with ``inputs``, the channels' propagated inputs P_c = sum_k c_k * S_k x, it
-    computes each channel as P_c W and ignores ``x``; without them, as sum_k c_k * S_k (x W).
+    Called with ``inputs``, the channels' propagated inputs P_c = c * S x, it computes each
+    channel (S, c) as P_c W and ignores ``x``; without them, as c * S (x W). The channel
+    ``None`` is the identity: P_c = x.
     """
 
     def __init__(self, cfg, channels, fusion, in_dim, rng):
@@ -331,11 +334,11 @@ class Model:
     """Stacked layers, cross-layer fusion, and a linear classifier head.
 
     ``features`` is the graph's (read-only) feature array X. The model keeps
-    ``inputs``, layer 1's propagated inputs P_c = sum_k c_k * S_k X, one per
-    channel (X itself for the empty channel), which costs channels x n x d floats.
+    ``inputs``, layer 1's propagated inputs P_c = c * S X, one per channel (S, c)
+    (X itself for the channel ``None``), which costs channels x n x d floats.
     ``forward`` uses them when it is given that same array; any other array
     takes the sparse path in layer 1 and gives the same logits up to rounding,
-    since (S X) W and S (X W) add their terms in different orders.
+    since (S X) W and S (X W) sum their products in different orders.
     """
 
     def __init__(self, cfg: ModelConfig, layers, n_classes, rng, features):
@@ -395,45 +398,40 @@ def _stack(cfg: ModelConfig, graph: DirectedGraph, channels, fusion, seed) -> Mo
     return Model(cfg, layers, graph.n_classes, rng, graph.features)
 
 
-def _channels(matrices, coef=1.0):
-    """One channel per normalized matrix."""
-    return [((m, coef),) for m in matrices]
-
-
 def build_matrix_channel_model(cfg: ModelConfig, graph: DirectedGraph, matrices,
                                seed=0) -> Model:
     """Model over explicit (already normalized) matrices, one added channel each."""
-    return _stack(cfg, graph, _channels(matrices), "add", seed)
+    return _stack(cfg, graph, [(m, 1.0) for m in matrices], "add", seed)
 
 
 def _inception(*proximity):
     """Channels A and T, then one per pruned proximity matrix (hops, mode)."""
     def channels(plan, cfg):
-        return _channels([plan.normalized(w, cfg.selfloop_mode) for w in ("A", "T")] + [
-            plan.proximity(k, mode) for k, mode in proximity])
+        return [(m, 1.0) for m in [plan.normalized(w, cfg.selfloop_mode) for w in ("A", "T")]
+                + [plan.proximity(k, mode) for k, mode in proximity]]
     return channels
 
 
 def _one_ym(plan, cfg):
     a, t = (plan.word(w, cfg.selfloop_mode) for w in ("A", "T"))
-    return _channels([plan.symmetric(pattern_union(a, t))] + [
-        plan.normalized(w, cfg.second_scale_selfloops) for w in ("AT", "TA")])
+    return [(m, 1.0) for m in [plan.symmetric(pattern_union(a, t))] + [
+        plan.normalized(w, cfg.second_scale_selfloops) for w in ("AT", "TA")]]
 
 
 def _gcn(plan, cfg):
     a, t = (plan.word(w, "keep") for w in ("A", "T"))
-    return _channels([plan.symmetric(add_self_loops(pattern_union(a, t)))])
+    return [(plan.symmetric(add_self_loops(pattern_union(a, t))), 1.0)]
 
 
 def _dirgnn_lite(plan, cfg):
-    return _channels([plan.normalized(w, cfg.selfloop_mode) for w in ("A", "T")], coef=0.5)
+    return [(plan.normalized(w, cfg.selfloop_mode), 0.5) for w in ("A", "T")]
 
 
 # family -> (channels of every layer from (matrix plan, config), intra-layer fusion);
 # scalenet's fusion is the configured comb1
 _WIRING = {
     "scalenet": (prepare_direction_blocks, None),
-    "mlp": (lambda plan, cfg: [()], "add"),
+    "mlp": (lambda plan, cfg: [None], "add"),
     "one_ig": (_inception(), "add"),
     "one_igi2": (_inception((2, "intersect")), "add"),
     "one_igu2": (_inception((2, "union")), "add"),

@@ -6,9 +6,7 @@ Word length = scale, so "A" and "T" are the two first-scale graphs and "AT",
 "TA", "AA", "TT" the four second-scale ones.
 """
 
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from scalegraph.sparse import (
     SparseMatrix,
@@ -49,14 +47,10 @@ class ScaleSpec:
 
 @dataclass(frozen=True)
 class ScaledGraph:
-    """A built scaled adjacency: pattern matrix plus optional edge weights."""
+    """A built scaled adjacency: its spec and pattern matrix."""
 
     spec: ScaleSpec
     matrix: SparseMatrix
-    weighted: SparseMatrix | None = None
-
-    def with_weights(self, strategy, seed=0):
-        return replace(self, weighted=assign_weights(self.matrix, strategy, seed))
 
 
 def build_scaled_adjacency(adj: SparseMatrix, spec: ScaleSpec) -> ScaledGraph:
@@ -148,55 +142,3 @@ def model_matrix_family(adj: SparseMatrix, selfloop_mode: str = "keep",
         out[word] = apply_selfloop_mode(_word_product(a, at, word), mode)
     return out
 
-
-# -- edge-weight strategies ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Ones:
-    """Constant weight 1 on every scaled edge."""
-
-
-@dataclass(frozen=True)
-class Uniform:
-    """Independent uniform weights; the wide default range stresses scale freedom."""
-
-    lo: float = 1e-4
-    hi: float = 1e4
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"uniform range requires lo < hi, got [{self.lo}, {self.hi}]")
-
-
-@dataclass(frozen=True)
-class PeakMixture:
-    """Mixture of narrow Gaussians: weights cluster around the given peaks."""
-
-    peaks: tuple
-    weights: tuple
-    spread: float = 0.01
-
-    def __post_init__(self):
-        if len(self.peaks) != len(self.weights) or not self.peaks:
-            raise ValueError("peaks and weights must be non-empty and equal length")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ValueError("mixture weights must sum to 1")
-        if self.spread < 0:
-            raise ValueError("spread must be non-negative")
-
-
-def assign_weights(s: SparseMatrix, strategy, seed: int = 0) -> SparseMatrix:
-    """Reweight the support of ``s`` per the strategy, deterministically under seed."""
-    rng = np.random.default_rng(seed)
-    nnz = s.nnz
-    if isinstance(strategy, Ones):
-        vals = np.ones(nnz)
-    elif isinstance(strategy, Uniform):
-        vals = rng.uniform(strategy.lo, strategy.hi, size=nnz)
-    elif isinstance(strategy, PeakMixture):
-        which = rng.choice(len(strategy.peaks), size=nnz, p=np.asarray(strategy.weights))
-        vals = np.asarray(strategy.peaks, dtype=float)[which] + rng.normal(0.0, strategy.spread, size=nnz)
-    else:
-        raise ValueError(f"unknown weight strategy: {strategy!r}")
-    return SparseMatrix(s.n_rows, s.n_cols, s.row_offsets, s.col_indices, vals)

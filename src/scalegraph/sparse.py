@@ -412,8 +412,8 @@ def degrees(s: SparseMatrix, axis: str = "row") -> np.ndarray:
     raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
 
 
-def sym_normalize(s: SparseMatrix, selfloop_mode: str = "keep") -> SparseMatrix:
-    """Scale entry (i, j) by 1/sqrt(rowsum_i * colsum_j) after applying the self-loop mode.
+def sym_normalize(s: SparseMatrix) -> SparseMatrix:
+    """Scale entry (i, j) by 1/sqrt(rowsum_i * colsum_j).
 
     Rows or columns with zero weight stay zero instead of dividing by zero;
     isolated nodes therefore aggregate to the zero vector.
@@ -422,7 +422,6 @@ def sym_normalize(s: SparseMatrix, selfloop_mode: str = "keep") -> SparseMatrix:
         raise ValueError("normalization requires a square matrix")
     if np.any(s.values < 0):
         raise ValueError("normalization requires non-negative values")
-    s = apply_selfloop_mode(s, selfloop_mode)
     rows = _row_ids(s)
     r_inv, c_inv = _normalizers(s, rows)
     vals = s.values * r_inv[rows] * c_inv[s.col_indices]

@@ -208,6 +208,23 @@ def test_compare_degenerate_is_data_error(tmp_path, capsys):
     assert rc == 2 and "data error" in err
 
 
+@pytest.mark.parametrize("value", [None, True, "1.5"])
+def test_compare_json_series_of_non_numbers_is_data_error(tmp_path, capsys, value):
+    xs = tmp_path / "xs.json"
+    xs.write_text(json.dumps([1, 2, 3, 4, value, 6]))
+    rc, _, err = run(capsys, "compare", "--xs", str(xs), "--ys", "0,0,0,0,0,0",
+                     "--out-dir", str(tmp_path))
+    assert rc == 2 and "data error" in err and "array of numbers" in err, err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_compare_non_finite_series_is_data_error(tmp_path, capsys, value):
+    rc, stdout, err = run(capsys, "compare", "--xs", f"1,2,3,4,{value},6",
+                          "--ys", "0,0,0,0,0,0", "--out-dir", str(tmp_path))
+    assert rc == 2 and "data error" in err and "finite" in err, err
+    assert stdout == ""
+
+
 # -- manifest / rerun ------------------------------------------------------------------
 
 
@@ -306,6 +323,14 @@ def test_malformed_config_file_is_usage_error(tmp_path, capsys, payload, named):
     rc, _, err = run(capsys, "train", *dataset_args(HAND7), "--config", str(cfg_file),
                      "--out-dir", str(tmp_path / "out"))
     assert rc == 1 and "usage error" in err and named in err, err
+
+
+@pytest.mark.parametrize("max_configs", ["0", "-1"])
+def test_gridsearch_max_configs_below_one_is_usage_error(tmp_path, capsys, max_configs):
+    rc, _, err = run(capsys, "gridsearch", *dataset_args(HAND7), "--max-configs", max_configs,
+                     "--out-dir", str(tmp_path / "out"))
+    assert rc == 1 and "usage error" in err and "--max-configs" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_space_file_is_usage_error(tmp_path, capsys):

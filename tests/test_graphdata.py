@@ -13,7 +13,6 @@ from scalegraph.graphdata import (
     compute_stats,
     generate_dsbm,
     load_dataset,
-    make_imbalanced_split,
     make_random_splits,
     neighbor_label_table,
     save_dataset,
@@ -324,27 +323,3 @@ def test_random_splits_stratified_and_deterministic():
         with pytest.raises(ValueError, match="n_splits must be at least 1"):
             make_random_splits(g, n_splits=n_splits)
 
-
-def test_imbalanced_split_ratio_one_equalizes():
-    g = generate_dsbm(80, 4, 0.2, 0.02, seed=2)
-    base = make_random_splits(g, train_frac=0.6, val_frac=0.2, seed=0)
-    out = make_imbalanced_split(g, base, ratio=1, seed=0)
-    counts = np.bincount(g.labels[out[0].train], minlength=4)
-    assert len(set(counts)) == 1
-
-
-def test_imbalanced_split_exact_ratio():
-    g = generate_dsbm(200, 2, 0.1, 0.05, seed=3)
-    base = make_random_splits(g, train_frac=0.5, val_frac=0.2, seed=0)
-    out = make_imbalanced_split(g, base, ratio=10, seed=0)
-    counts = np.sort(np.bincount(g.labels[out[0].train], minlength=2))
-    assert counts[1] == 10 * counts[0]
-    assert np.array_equal(out[0].val, base[0].val)
-    assert np.array_equal(out[0].test, base[0].test)
-
-
-def test_imbalanced_split_infeasible_ratio():
-    g = generate_dsbm(40, 2, 0.2, 0.05, seed=4)
-    base = make_random_splits(g, seed=0)
-    with pytest.raises(DataError, match="infeasible"):
-        make_imbalanced_split(g, base, ratio=1000, seed=0)

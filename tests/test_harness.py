@@ -417,6 +417,14 @@ def test_wilcoxon_too_few_pairs_rejected():
         wilcoxon_signed_rank([1, 2, 3, 4], [0, 1, 2, 3])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_wilcoxon_non_finite_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        wilcoxon_signed_rank([1, 2, 3, 4, bad, 6], [0, 0, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match="finite"):
+        wilcoxon_signed_rank([0, 0, 0, 0, 0, 0], [1, 2, 3, 4, bad, 6])
+
+
 def test_wilcoxon_length_mismatch_rejected():
     with pytest.raises(ValueError):
         wilcoxon_signed_rank([1, 2, 3], [1, 2])

@@ -29,6 +29,7 @@ from scalegraph.scales import model_matrix_family, proximity_matrix
 from scalegraph.sparse import (
     SparseMatrix,
     add_self_loops,
+    apply_selfloop_mode,
     pattern_intersection,
     pattern_union,
     sym_normalize,
@@ -144,14 +145,39 @@ def test_agg_b_rejects_unknown_alpha():
         agg_b(0.25, m, n_mat, x, w)
 
 
+@pytest.mark.parametrize("mode", ["add", "remove", "keep"])
+def test_agg_b_applies_the_pair_rule_of_the_models(monkeypatch, mode):
+    # agg_b over S_A and S_T against the channel of an alpha-only scalenet: the same output
+    # bit for bit, except that agg_b propagates the union or intersection unnormalized
+    g = generate_dsbm(40, 3, 0.2, 0.05, seed=8)
+    a = apply_selfloop_mode(g.adjacency.pattern(), mode)
+    s_a, s_t = sym_normalize(a), sym_normalize(transpose(a))
+    x = Tensor(g.features)
+    w = Tensor(glorot_uniform(g.d, 4, np.random.default_rng(5)))
+    propagated = []
+    spmm = models.spmm
+    monkeypatch.setattr(models, "spmm", lambda s, h: propagated.append(s) or spmm(s, h))
+    for alpha in (0.0, 0.5, 1.0, 2.0, 3.0):
+        cfg = ModelConfig(alpha=alpha, beta=-1.0, gamma=-1.0, selfloop_mode=mode)
+        (mat, coef), = prepare_direction_blocks(MatrixPlan(g.adjacency), cfg)
+        propagated.clear()
+        got = agg_b(alpha, s_a, s_t, x, w).data
+        (used,) = propagated
+        if alpha in (2.0, 3.0):
+            want = sym_normalize(used)
+            assert coef == 1.0 and mat == want
+            assert mat.values.tobytes() == want.values.tobytes()
+        else:
+            assert got.tobytes() == propagate((mat, coef), matmul(x, w)).data.tobytes()
+
+
 # -- layer composition --------------------------------------------------------------
 
 
 def test_single_pair_config_reduces_to_first_scale(small_graph):
     cfg = ModelConfig(alpha=0.5, beta=-1, gamma=-1, layers=1, hidden=8)
     channels = build_model(cfg, small_graph, seed=0).layers[0].channels
-    assert len(channels) == 1 and len(channels[0]) == 1
-    (blend, coef), = channels[0]
+    (blend, coef), = channels
     fam = model_matrix_family(small_graph.adjacency)
     assert coef == 1.0 and blend.pattern() == pattern_union(fam["A"], fam["T"])
 
@@ -160,9 +186,9 @@ def test_all_pairs_config_uses_six_matrices(small_graph):
     # three blends, each over the union of its pair's two words
     cfg = ModelConfig(alpha=0.5, beta=0.5, gamma=0.5, layers=1, hidden=8)
     channels = build_model(cfg, small_graph, seed=0).layers[0].channels
-    assert len(channels) == 3 and all(len(channel) == 1 for channel in channels)
+    assert len(channels) == 3
     fam = model_matrix_family(small_graph.adjacency)
-    for ((blend, coef),), (m, n) in zip(channels, (("A", "T"), ("AT", "TA"), ("AA", "TT"))):
+    for (blend, coef), (m, n) in zip(channels, (("A", "T"), ("AT", "TA"), ("AA", "TT"))):
         assert coef == 1.0 and blend.pattern() == pattern_union(fam[m], fam[n])
 
 
@@ -221,7 +247,7 @@ def test_one_ig_on_symmetric_graph_feeds_symmetric_supports():
     dense = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=float)
     g = DirectedGraph(SparseMatrix.from_dense(dense), np.eye(3), [0, 1, 1], 2)
     model = build_model(ModelConfig(family="one_ig", layers=1, hidden=4), g, seed=0)
-    mats = [mat for (mat, _), in model.layers[0].channels]
+    mats = [mat for mat, _ in model.layers[0].channels]
     sym_support = pattern_union(g.adjacency, transpose(g.adjacency))
     assert mats[0].pattern() == sym_support
     assert mats[1].pattern() == sym_support
@@ -229,26 +255,25 @@ def test_one_ig_on_symmetric_graph_feeds_symmetric_supports():
 
 def test_gcn_single_symmetric_channel_with_self_loops(small_graph):
     model = build_model(ModelConfig(family="gcn", layers=1, hidden=4), small_graph, seed=0)
-    (channel,) = model.layers[0].channels
-    (mat, coef), = channel
+    (mat, coef), = model.layers[0].channels
     assert coef == 1.0 and np.all(mat.diagonal() > 0)
 
 
 def single_channels(mats, coef=1.0):
-    return [((sym_normalize(m), coef),) for m in mats]
+    return [(sym_normalize(m), coef) for m in mats]
 
 
 def expected_wiring(row, adj, fam):
     """(channels, fusion) of a wiring row, built here without the model module's helpers."""
     if row == "scalenet":  # alpha=1 drops T, beta=2 / gamma=3 give union / intersection
-        return [((sym_normalize(fam["A"]), 2.0),),
-                ((sym_normalize(pattern_union(fam["AT"], fam["TA"])), 1.0),),
-                ((sym_normalize(pattern_intersection(fam["AA"], fam["TT"])), 1.0),)], "jk_max"
+        return [(sym_normalize(fam["A"]), 2.0),
+                (sym_normalize(pattern_union(fam["AT"], fam["TA"])), 1.0),
+                (sym_normalize(pattern_intersection(fam["AA"], fam["TT"])), 1.0)], "jk_max"
     if row == "scalenet_pairs":  # alpha=0 drops A, beta=0.5 blends both, gamma=-1 excluded
         blend = weighted_sum(sym_normalize(fam["AT"]), sym_normalize(fam["TA"]), 0.75, 0.75)
-        return [((sym_normalize(fam["T"]), 1.0),), ((blend, 1.0),)], "jk_max"
+        return [(sym_normalize(fam["T"]), 1.0), (blend, 1.0)], "jk_max"
     if row == "mlp":
-        return [()], "add"
+        return [None], "add"
     if row == "gcn":
         return single_channels([add_self_loops(pattern_union(adj, transpose(adj)))]), "add"
     if row == "one_ym":
@@ -417,7 +442,7 @@ def test_snapshot_restore_round_trip(small_graph):
 
 
 def channel_matrices(model):
-    return [m for channel in model.layers[0].channels for m, _ in channel]
+    return [m for m, _ in model.layers[0].channels]
 
 
 def count_sorts(monkeypatch):

@@ -3,11 +3,7 @@ import pytest
 
 from scalegraph import scales
 from scalegraph.scales import (
-    Ones,
-    PeakMixture,
     ScaleSpec,
-    Uniform,
-    assign_weights,
     build_scaled_adjacency,
     diffusion_matrix,
     meeting_matrix,
@@ -229,59 +225,3 @@ def test_model_matrix_family_transposes_once_and_matches_each_word(monkeypatch):
             spec = ScaleSpec(word, mode if len(word) == 1 else second)
             assert got == build_scaled_adjacency(adj, spec).matrix
 
-
-# -- weight strategies -------------------------------------------------------------
-
-
-def test_ones_strategy(tree6):
-    w = assign_weights(tree6, Ones(), seed=1)
-    assert np.all(w.values == 1.0)
-    assert w.col_indices is not None and support(w) == support(tree6)
-
-
-def test_uniform_strategy_range_and_determinism(tree6):
-    w1 = assign_weights(tree6, Uniform(), seed=9)
-    w2 = assign_weights(tree6, Uniform(), seed=9)
-    w3 = assign_weights(tree6, Uniform(), seed=10)
-    assert np.all((w1.values >= 1e-4) & (w1.values <= 1e4))
-    assert np.array_equal(w1.values, w2.values)
-    assert not np.array_equal(w1.values, w3.values)
-
-
-def count_modes(values, bin_width=0.05):
-    """Contiguous nonempty histogram runs = number of modes for narrow peaks."""
-    lo, hi = values.min(), values.max()
-    edges = np.arange(lo - bin_width, hi + 2 * bin_width, bin_width)
-    hist, _ = np.histogram(values, bins=edges)
-    runs = 0
-    prev_empty = True
-    for h in hist:
-        if h > 0 and prev_empty:
-            runs += 1
-        prev_empty = h == 0
-    return runs
-
-
-def test_peak_mixture_mode_counts():
-    big = SparseMatrix.from_dense(np.ones((100, 100)))
-    two = assign_weights(big, PeakMixture((0.0, 1.0), (0.5, 0.5)), seed=5)
-    three = assign_weights(big, PeakMixture((0.0, 0.5, 1.0), (0.4, 0.3, 0.3)), seed=5)
-    assert count_modes(two.values) == 2
-    assert count_modes(three.values) == 3
-
-
-def test_scaled_graph_with_weights(tree6):
-    built = build_scaled_adjacency(tree6, ScaleSpec("AT"))
-    weighted = built.with_weights(Uniform(), seed=3)
-    assert weighted.weighted is not None
-    assert support(weighted.weighted) == support(built.matrix)
-    assert weighted.matrix == built.matrix
-
-
-def test_weight_strategy_validation():
-    with pytest.raises(ValueError):
-        Uniform(2.0, 1.0)
-    with pytest.raises(ValueError):
-        PeakMixture((0.0, 1.0), (0.7, 0.7))
-    with pytest.raises(ValueError):
-        PeakMixture((), ())

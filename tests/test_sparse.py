@@ -535,13 +535,13 @@ def test_degrees_dense_oracle():
 
 def test_normalize_mutual_edge():
     s = SparseMatrix.from_edges(2, [0, 1], [1, 0])
-    out = sym_normalize(s, "keep")
+    out = sym_normalize(s)
     assert np.allclose(out.values, 1.0)
 
 
 def test_normalize_isolated_node():
     s = SparseMatrix.from_edges(3, [0], [1])
-    out = sym_normalize(s, "keep")
+    out = sym_normalize(s)
     dense = out.to_dense()
     assert np.all(dense[2, :] == 0) and np.all(dense[:, 2] == 0)
 
@@ -549,7 +549,7 @@ def test_normalize_isolated_node():
 def test_normalize_path_dense_oracle():
     s = SparseMatrix.from_edges(3, [0, 1], [1, 2])
     for mode in ("keep", "add", "remove"):
-        out = sym_normalize(s, mode)
+        out = sym_normalize(apply_selfloop_mode(s, mode))
         dense_in = s.to_dense()
         if mode == "add":
             np.fill_diagonal(dense_in, 1.0)
