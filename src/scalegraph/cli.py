@@ -20,6 +20,7 @@ from scalegraph.graphdata import (
     generate_dsbm,
     load_dataset,
     make_random_splits,
+    read_edge_list,
     row_normalize_features,
     save_dataset,
 )
@@ -32,21 +33,21 @@ from scalegraph.harness import (
     train,
     wilcoxon_signed_rank,
 )
-from scalegraph.models import (
-    COMB1_CHOICES,
-    COMB2_CHOICES,
-    FAMILIES,
-    ModelConfig,
-    build_model,
-)
-from scalegraph.scales import ScaleSpec, build_scaled_adjacency
-from scalegraph.sparse import format_coordinate_text, parse_edge_list
+from scalegraph.models import ModelConfig, build_model
+from scalegraph.scales import SELFLOOP_MODES, ScaleSpec, build_scaled_adjacency
+from scalegraph.sparse import format_coordinate_text
 
 DATASET_FILES = ("edges.tsv", "features.csv", "labels.txt", "splits.json")
-_BOOL_FIELDS = ("use_bn", "use_relu")
+# a field's flag is ``--`` plus its name with dashes, except these; manifests store the flags
+_FLAG_NAMES = {"selfloop_mode": "--selfloops"}
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # a flag of a bool field takes 0 or 1
+        self.register("type", bool, lambda text: bool(("0", "1").index(text)))
+
     def error(self, message):
         raise _UsageExit(f"{message}\n{self.format_usage()}".rstrip())
 
@@ -109,46 +110,33 @@ def _load_graph(args):
     return graph, splits
 
 
-def _add_model_flags(p):
+def _add_config_flags(p):
+    """One flag per field of ModelConfig and of TrainConfig, typed by the field; the
+    config classes check the values. Model flags default to unset, so that they win
+    over ``--config``; training flags default to TrainConfig's defaults."""
     p.add_argument("--config", help="JSON file with ModelConfig fields (flags win)")
-    p.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--comb1", choices=COMB1_CHOICES)
-    p.add_argument("--comb2", choices=COMB2_CHOICES)
-    p.add_argument("--selfloops", dest="selfloop_mode", choices=("add", "remove", "keep"))
-    p.add_argument("--second-scale-selfloops", dest="second_scale_selfloops",
-                   choices=("keep", "remove"))
-    p.add_argument("--use-bn", dest="use_bn", type=int, choices=(0, 1))
-    p.add_argument("--use-relu", dest="use_relu", type=int, choices=(0, 1))
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--lr", type=float)
+    for cls in (ModelConfig, TrainConfig):
+        for f in fields(cls):
+            p.add_argument(_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name,
+                           type=f.type, default=f.default if cls is TrainConfig else None)
 
 
 def _model_config(args) -> ModelConfig:
     """Precedence: explicit flags > config file > defaults."""
-    payload = json.loads(Path(args.config).read_text()) if getattr(args, "config", None) else {}
+    payload = json.loads(Path(args.config).read_text()) if args.config else {}
     flags = {f.name: getattr(args, f.name) for f in fields(ModelConfig)
-             if getattr(args, f.name, None) is not None}
-    flags.update((name, bool(flags[name])) for name in _BOOL_FIELDS if name in flags)
+             if getattr(args, f.name) is not None}
     return ModelConfig.from_dict(payload, **flags)
 
 
-def _add_train_flags(p):
-    p.add_argument("--max-epochs", type=int, default=1500)
-    p.add_argument("--es-patience", type=int, default=410)
-    p.add_argument("--lr-patience", type=int, default=80)
-    p.add_argument("--lr-factor", type=float, default=0.5)
-    p.add_argument("--min-lr", type=float, default=1e-5)
-
-
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(max_epochs=args.max_epochs, es_patience=args.es_patience,
-                       lr_patience=args.lr_patience, lr_factor=args.lr_factor,
-                       min_lr=args.min_lr)
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
+
+
+def _split(args, splits):
+    if not 0 <= args.split_index < len(splits):
+        raise _UsageExit(f"split index {args.split_index} out of range")
+    return splits[args.split_index]
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -174,9 +162,7 @@ def _cmd_synth(args, argv):
 def _cmd_stats(args, argv):
     out = _prepare_out_dir(args, argv)
     graph, splits = _load_graph(args)
-    if not 0 <= args.split_index < len(splits):
-        raise _UsageExit(f"split index {args.split_index} out of range")
-    report = compute_stats(graph, splits[args.split_index].train)
+    report = compute_stats(graph, _split(args, splits).train)
     sys.stdout.write(_write_json(out / "stats.json", report.to_dict()))
     return 0
 
@@ -186,7 +172,7 @@ def _cmd_scale(args, argv):
     if args.data_dir:  # the dataset's node count sizes the matrix
         adjacency = _load_graph(args)[0].adjacency
     elif args.edges:
-        adjacency = parse_edge_list(Path(args.edges).read_text())
+        adjacency = read_edge_list(args.edges)
     else:
         raise _UsageExit("scale needs --edges or --data-dir")
     spec = ScaleSpec(args.word, args.selfloops)
@@ -202,22 +188,20 @@ def _cmd_train(args, argv):
     cfg = _model_config(args)
     out = _prepare_out_dir(args, argv, config=cfg)
     graph, splits = _load_graph(args)
-    if not 0 <= args.split_index < len(splits):
-        raise _UsageExit(f"split index {args.split_index} out of range")
+    split = _split(args, splits)
     model = build_model(cfg, graph, seed=args.seed)
-    result = train(model, graph, splits[args.split_index], _train_config(args),
-                   seed=args.seed)
+    result = train(model, graph, split, _train_config(args), seed=args.seed)
     payload = {"config": asdict(cfg), "result": result.to_dict()}
     sys.stdout.write(_write_json(out / "result.json", payload))
     return 0
 
 
 def _cmd_report_scales(args, argv):
+    model_cfg = _model_config(args) if _any_model_flag(args) else None
     out = _prepare_out_dir(args, argv)
     graph, splits = _load_graph(args)
     columns = args.columns.split(",") if args.columns else None
     seeds = [int(tok) for tok in args.seeds.split(",")] if args.seeds else [args.seed]
-    model_cfg = _model_config(args) if _any_model_flag(args) else None
     report = per_scale_report(graph, splits, columns=columns, model_cfg=model_cfg,
                               train_cfg=_train_config(args), seeds=seeds,
                               include_shared_removed=args.include_shared_removed)
@@ -228,8 +212,7 @@ def _cmd_report_scales(args, argv):
 
 
 def _any_model_flag(args):
-    return any(getattr(args, f.name, None) is not None for f in fields(ModelConfig)) \
-        or getattr(args, "config", None)
+    return any(getattr(args, f.name) is not None for f in fields(ModelConfig)) or args.config
 
 
 def _cmd_gridsearch(args, argv):
@@ -287,6 +270,8 @@ def _cmd_rerun(args, argv):
     replay = manifest.get("argv") if isinstance(manifest, dict) else None
     if not isinstance(replay, list) or not all(isinstance(a, str) for a in replay):
         raise DataError(f"{args.manifest}: expected an object with an 'argv' list of strings")
+    if replay[:1] == ["rerun"]:
+        raise DataError(f"{args.manifest}: the argv of a manifest cannot itself be a rerun")
     if args.out_dir is not None:
         replay += ["--out-dir", args.out_dir]
     return main(replay)
@@ -328,23 +313,21 @@ def build_parser():
     common(p)
     _add_dataset_flags(p)
     p.add_argument("--word", required=True)
-    p.add_argument("--selfloops", choices=("add", "remove", "keep"), default="keep")
+    p.add_argument("--selfloops", choices=SELFLOOP_MODES, default="keep")
     p.add_argument("--out", help="file name for the coordinate dump (inside --out-dir)")
     p.set_defaults(func=_cmd_scale)
 
     p = sub.add_parser("train", help="train one model on one split")
     common(p)
     _add_dataset_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_config_flags(p)
     p.add_argument("--split-index", type=int, default=0)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("report-scales", help="per-scale accuracy table as TSV")
     common(p)
     _add_dataset_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_config_flags(p)
     p.add_argument("--columns", help="comma list, default: all ten columns")
     p.add_argument("--seeds", help="comma list of training seeds")
     p.add_argument("--include-shared-removed", action="store_true")
@@ -353,8 +336,7 @@ def build_parser():
     p = sub.add_parser("gridsearch", help="exhaustive config search, leaderboard out")
     common(p)
     _add_dataset_flags(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_config_flags(p)
     p.add_argument("--space-file", help="JSON array of ModelConfig dicts")
     p.add_argument("--max-configs", type=int)
     p.set_defaults(func=_cmd_gridsearch)

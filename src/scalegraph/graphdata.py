@@ -8,7 +8,7 @@ File formats (all plain text, trivially portable):
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
 
@@ -122,16 +122,7 @@ class StatsReport:
     in_table: dict = field(default_factory=dict)
     out_table: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "imbalance_ratio": self.imbalance_ratio,
-            "pct_no_in": self.pct_no_in,
-            "pct_no_out": self.pct_no_out,
-            "pct_in_homo": self.pct_in_homo,
-            "pct_out_homo": self.pct_out_homo,
-            "in_table": self.in_table,
-            "out_table": self.out_table,
-        }
+    to_dict = asdict
 
 
 # -- statistics -----------------------------------------------------------------
@@ -291,12 +282,17 @@ def load_dataset(edge_path, feature_path, label_path, split_path):
     labels = _read_labels(label_path)
     n = len(labels)
     features = _read_features(feature_path, n)
-    try:
-        adjacency = parse_edge_list(Path(edge_path).read_text(), n=n)
-    except ValueError as exc:
-        raise DataError(f"{edge_path}: {exc}") from None
+    adjacency = read_edge_list(edge_path, n)
     splits = _read_splits(split_path, n)
     return DirectedGraph(adjacency, features, labels), splits
+
+
+def read_edge_list(path, n=None) -> SparseMatrix:
+    """``parse_edge_list`` of a file; a malformed line is a DataError naming the file."""
+    try:
+        return parse_edge_list(Path(path).read_text(), n=n)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_dataset(out_dir, g: DirectedGraph, splits: SplitSet):

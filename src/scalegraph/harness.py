@@ -9,7 +9,7 @@ validation accuracy with a 410-epoch patience, a plateau LR scheduler with an
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from scalegraph.autodiff import AdamState, adam_step, backward, softmax_cross_entropy
 from scalegraph.graphdata import DirectedGraph, SplitSet
 from scalegraph.models import MatrixPlan, ModelConfig, build_matrix_channel_model, build_model
-from scalegraph.scales import remove_shared_edges
+from scalegraph.scales import SELFLOOP_MODES, remove_shared_edges
 from scalegraph.sparse import SparseMatrix, sym_normalize
 
 
@@ -47,15 +47,7 @@ class TrainResult:
     seed: int
     final_lr: float
 
-    def to_dict(self):
-        return {
-            "best_val_acc": self.best_val_acc,
-            "test_acc_at_best_val": self.test_acc_at_best_val,
-            "epochs_run": self.epochs_run,
-            "history": [[loss, acc] for loss, acc in self.history],
-            "seed": self.seed,
-            "final_lr": self.final_lr,
-        }
+    to_dict = asdict
 
 
 def derive_seed(base_seed, *parts) -> int:
@@ -292,7 +284,7 @@ GRID_DROPOUT = (0.0, 0.5)
 GRID_BN = (False, True)
 GRID_RELU = (False, True)
 GRID_JK = ("max", "cat", "none")
-GRID_SELFLOOP = ("add", "remove", "keep")
+GRID_SELFLOOP = SELFLOOP_MODES
 GRID_DIRECTION = (0.0, 0.5, 1.0, 2.0, 3.0)
 
 _JK_TO_COMBS = {"max": ("jk_max", "jk_max"), "cat": ("jk_cat", "jk_cat"),
@@ -327,17 +319,7 @@ class GridResult:
     val_accs: list = field(default_factory=list)
     test_accs: list = field(default_factory=list)
 
-    def to_dict(self):
-        import dataclasses
-
-        return {
-            "config": dataclasses.asdict(self.config),
-            "mean_val_acc": self.mean_val_acc,
-            "mean_test_acc": self.mean_test_acc,
-            "std_test_acc": self.std_test_acc,
-            "val_accs": self.val_accs,
-            "test_accs": self.test_accs,
-        }
+    to_dict = asdict
 
 
 def grid_search(space, graph: DirectedGraph, splits: SplitSet,
@@ -390,23 +372,13 @@ class ComparisonResult:
     n_pairs: int
     method: str
 
-    def to_dict(self):
-        return {"statistic": self.statistic, "p_value": self.p_value,
-                "n_pairs": self.n_pairs, "method": self.method}
+    to_dict = asdict
 
 
 def _average_ranks(values):
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; a run of tied values shares the mean of its ranks."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def _exact_two_sided_p(ranks, w):

@@ -97,25 +97,21 @@ class ModelConfig:
     def __post_init__(self):
         self.alpha, self.beta, self.gamma = (float(self.alpha), float(self.beta),
                                              float(self.gamma))
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown model family {self.family!r}")
-        for name, value in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
-            if value not in DIRECTION_VALUES:
-                raise ValueError(f"{name} must be one of {DIRECTION_VALUES}, got {value}")
+        for name, allowed in (("family", FAMILIES), ("alpha", DIRECTION_VALUES),
+                              ("beta", DIRECTION_VALUES), ("gamma", DIRECTION_VALUES),
+                              ("comb1", COMB1_CHOICES), ("comb2", COMB2_CHOICES),
+                              ("selfloop_mode", scales.SELFLOOP_MODES),
+                              ("second_scale_selfloops", scales.SECOND_SCALE_SELFLOOP_MODES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if self.family == "scalenet" and all(v == -1.0 for v in (self.alpha, self.beta, self.gamma)):
             raise ValueError("scalenet needs at least one direction parameter != -1")
         if not 1 <= self.layers <= 5:
             raise ValueError("layers must be in 1..5")
         if self.hidden < 1:
             raise ValueError("hidden width must be >= 1")
-        if self.comb1 not in COMB1_CHOICES or self.comb2 not in COMB2_CHOICES:
-            raise ValueError(f"comb1 must be in {COMB1_CHOICES} and comb2 in {COMB2_CHOICES}")
         if self.family != "scalenet" and self.comb1 != "add":
             raise ValueError(f"comb1 applies to scalenet only; {self.family} needs comb1='add'")
-        if self.selfloop_mode not in ("add", "remove", "keep"):
-            raise ValueError(f"bad selfloop_mode {self.selfloop_mode!r}")
-        if self.second_scale_selfloops not in ("keep", "remove"):
-            raise ValueError(f"bad second_scale_selfloops {self.second_scale_selfloops!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.lr <= 0:

@@ -20,6 +20,8 @@ from scalegraph.sparse import (
 )
 
 SELFLOOP_MODES = ("add", "remove", "keep")
+# generated self-loops of a second-scale product are kept or removed, never added
+SECOND_SCALE_SELFLOOP_MODES = ("keep", "remove")
 
 # the matrices every direction-aware model draws from, in canonical order
 MODEL_WORDS = ("A", "T", "AT", "TA", "AA", "TT")
@@ -130,8 +132,8 @@ def model_matrix_family(adj: SparseMatrix, selfloop_mode: str = "keep",
     ``second_scale_selfloops`` ("keep" or "remove") controls whether generated
     self-loops survive in the four second-scale products.
     """
-    if second_scale_selfloops not in ("keep", "remove"):
-        raise ValueError("second_scale_selfloops must be 'keep' or 'remove'")
+    if second_scale_selfloops not in SECOND_SCALE_SELFLOOP_MODES:
+        raise ValueError(f"second_scale_selfloops must be one of {SECOND_SCALE_SELFLOOP_MODES}")
     if not adj.is_square():
         raise ValueError("adjacency must be square")
     a = adj.pattern()

@@ -1,10 +1,17 @@
+import argparse
 import json
 import shutil
+from collections import Counter
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
-from scalegraph.cli import main
+from scalegraph.cli import DATASET_FILES, build_parser, main
+from scalegraph.graphdata import load_dataset
+from scalegraph.harness import TrainConfig, train
+from scalegraph.models import COMB1_CHOICES, COMB2_CHOICES, FAMILIES, ModelConfig, build_model
+from scalegraph.scales import SECOND_SCALE_SELFLOOP_MODES, SELFLOOP_MODES
 
 DATA = Path(__file__).parent / "data"
 HAND7 = DATA / "hand7"
@@ -114,6 +121,17 @@ def test_scale_data_dir_sizes_the_matrix_by_the_node_count(tmp_path, capsys):
     rc, stdout, _ = run(capsys, "scale", "--edges", str(ds / "edges.tsv"), "--word", "A",
                         "--out-dir", str(tmp_path / "out"))
     assert rc == 0 and stdout.splitlines()[1] == "3 3 2"
+
+
+@pytest.mark.parametrize("text, named", [("0\t1\n1\tx\n", "line 2: non-integer"),
+                                         ("0\t1\n-1\t2\n", "line 2: negative")])
+def test_scale_malformed_edge_file_is_data_error(tmp_path, capsys, text, named):
+    edges = tmp_path / "bad.tsv"
+    edges.write_text(text)
+    rc, stdout, err = run(capsys, "scale", "--edges", str(edges), "--word", "AT",
+                          "--out-dir", str(tmp_path / "out"))
+    assert rc == 2 and "data error" in err and f"{edges}: {named}" in err, err
+    assert stdout == ""
 
 
 # -- train ------------------------------------------------------------------------
@@ -307,6 +325,26 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys):
     rc, _, err = run(capsys, "train", *dataset_args(ds), "--family", "one_ig",
                      "--comb1", "jk_max", "--out-dir", str(tmp_path / "y"))
     assert rc == 1 and "usage error" in err and "comb1" in err
+    # a bool field's flag takes 0 or 1
+    rc, _, err = run(capsys, "train", *dataset_args(ds), "--use-bn", "2",
+                     "--out-dir", str(tmp_path / "z"))
+    assert rc == 1 and "usage error" in err and "--use-bn" in err, err
+
+
+@pytest.mark.parametrize("flag, value, allowed", [
+    ("--family", "bogus", FAMILIES),
+    ("--comb1", "jk_sum", COMB1_CHOICES),
+    ("--comb2", "add", COMB2_CHOICES),
+    ("--selfloops", "drop", SELFLOOP_MODES),
+    ("--second-scale-selfloops", "add", SECOND_SCALE_SELFLOOP_MODES),
+])
+@pytest.mark.parametrize("command", ["train", "report-scales", "gridsearch"])
+def test_bad_choice_names_the_allowed_values(tmp_path, capsys, command, flag, value, allowed):
+    rc, _, err = run(capsys, command, *dataset_args(HAND7), flag, value,
+                     "--out-dir", str(tmp_path / "out"))
+    assert rc == 1 and "usage error" in err and repr(value) in err, err
+    assert all(repr(v) in err for v in allowed), err
+    assert not (tmp_path / "out").exists()  # rejected before the manifest is written
 
 
 @pytest.mark.parametrize("payload, named", [
@@ -349,3 +387,76 @@ def test_manifest_without_argv_list_is_data_error(tmp_path, capsys, manifest):
     path.write_text(json.dumps(manifest))
     rc, _, err = run(capsys, "rerun", "--manifest", str(path))
     assert rc == 2 and "data error" in err and "argv" in err, err
+
+
+def test_manifest_that_reruns_a_manifest_is_data_error(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"argv": ["rerun", "--manifest", str(path)]}))
+    rc, _, err = run(capsys, "rerun", "--manifest", str(path))
+    assert rc == 2 and "data error" in err and "rerun" in err, err
+
+
+# -- flags <-> config fields -------------------------------------------------------------
+
+# manifests store these flag names, so a recorded run replays only while they stay
+MODEL_FLAGS = {"family": "--family", "alpha": "--alpha", "beta": "--beta", "gamma": "--gamma",
+               "layers": "--layers", "hidden": "--hidden", "comb1": "--comb1",
+               "comb2": "--comb2", "selfloop_mode": "--selfloops",
+               "second_scale_selfloops": "--second-scale-selfloops", "use_bn": "--use-bn",
+               "use_relu": "--use-relu", "dropout": "--dropout", "lr": "--lr"}
+TRAIN_FLAGS = {"max_epochs": "--max-epochs", "es_patience": "--es-patience",
+               "lr_patience": "--lr-patience", "lr_factor": "--lr-factor",
+               "min_lr": "--min-lr"}
+
+
+def subcommand(name):
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+@pytest.mark.parametrize("command", ["train", "report-scales", "gridsearch"])
+def test_one_flag_per_config_field(command):
+    assert set(MODEL_FLAGS) == {f.name for f in fields(ModelConfig)}
+    assert set(TRAIN_FLAGS) == {f.name for f in fields(TrainConfig)}
+    actions = subcommand(command)._actions
+    per_field = Counter(a.dest for a in actions)
+    flags = {a.dest: a.option_strings for a in actions}
+    for name, flag in {**MODEL_FLAGS, **TRAIN_FLAGS}.items():
+        assert per_field[name] == 1 and flags[name] == [flag], name
+
+
+def test_no_training_flags_give_the_default_train_config():
+    args = subcommand("train").parse_args([])
+    assert {name: getattr(args, name) for name in TRAIN_FLAGS} == asdict(TrainConfig())
+    assert all(getattr(args, name) is None for name in MODEL_FLAGS)
+
+
+EVERY_CONFIG_FLAG = ["--family", "scalenet", "--alpha", "1", "--beta", "0.5", "--gamma", "2",
+                     "--layers", "2", "--hidden", "6", "--comb1", "jk_max", "--comb2", "jk_cat",
+                     "--selfloops", "add", "--second-scale-selfloops", "remove",
+                     "--use-bn", "1", "--use-relu", "0", "--dropout", "0.25", "--lr", "0.05",
+                     "--max-epochs", "20", "--es-patience", "8", "--lr-patience", "2",
+                     "--lr-factor", "0.25", "--min-lr", "0.02"]
+
+
+def test_train_with_every_config_flag_replays_and_matches_a_direct_run(tmp_path, capsys):
+    ds, _ = synth_tiny(tmp_path, capsys)
+    out1, out2 = tmp_path / "t1", tmp_path / "t2"
+    rc, stdout, _ = run(capsys, "train", *dataset_args(ds), *EVERY_CONFIG_FLAG, "--seed", "4",
+                        "--out-dir", str(out1))
+    assert rc == 0
+    rc, _, _ = run(capsys, "rerun", "--manifest", str(out1 / "manifest.json"),
+                   "--out-dir", str(out2))
+    assert rc == 0 and outputs_of(out1) == outputs_of(out2)
+
+    cfg = ModelConfig(family="scalenet", alpha=1.0, beta=0.5, gamma=2.0, layers=2, hidden=6,
+                      comb1="jk_max", comb2="jk_cat", selfloop_mode="add",
+                      second_scale_selfloops="remove", use_bn=True, use_relu=False,
+                      dropout=0.25, lr=0.05)
+    tc = TrainConfig(max_epochs=20, es_patience=8, lr_patience=2, lr_factor=0.25, min_lr=0.02)
+    graph, splits = load_dataset(*(ds / name for name in DATASET_FILES))
+    result = train(build_model(cfg, graph, seed=4), graph, splits[0], tc, seed=4)
+    assert result.final_lr == 0.02  # 0.05 * 0.25 is floored at min_lr: both flags count
+    expected = {"config": asdict(cfg), "result": result.to_dict()}
+    assert json.loads(stdout) == json.loads(json.dumps(expected))
+    assert json.loads((out1 / "manifest.json").read_text())["config"] == asdict(cfg)

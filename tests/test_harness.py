@@ -13,6 +13,7 @@ from scalegraph.harness import (
     ComparisonResult,
     TrainConfig,
     TrainResult,
+    _average_ranks,
     accuracy,
     cross_validate,
     default_grid_space,
@@ -450,6 +451,28 @@ def test_wilcoxon_handles_tied_magnitudes():
     got = wilcoxon_signed_rank(xs, ys)
     w_ref, p_ref = brute_force_reference(xs, ys)
     assert got.statistic == w_ref and got.p_value == p_ref
+
+
+def sorted_loop_ranks(values):
+    """Reference: walk the stably sorted values and give each run of ties its mean rank."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_average_ranks_match_the_sorted_loop():
+    rng = np.random.default_rng(23)
+    for n in range(1, 60):
+        for high in (1, 3, n + 1):  # all tied, many ties, few ties
+            values = rng.integers(0, high, size=n) * 0.25
+            assert _average_ranks(values).tobytes() == sorted_loop_ranks(values).tobytes()
 
 
 def test_wilcoxon_symmetry():
