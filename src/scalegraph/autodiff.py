@@ -41,7 +41,7 @@ class Tensor:
 
 
 def _check_finite(arr):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FloatingPointError("non-finite value produced by a tensor op")
     return arr
 
@@ -57,8 +57,10 @@ def make_node(data, parents, backward_fn):
 
 
 def _accumulate(t, g):
+    # the first gradient is stored as given, maybe shared with another parent
+    # (``add`` hands ``g`` to both): no op writes a gradient in place
     if t.requires_grad:
-        t.grad = np.array(g, copy=True) if t.grad is None else t.grad + g
+        t.grad = g if t.grad is None else t.grad + g
 
 
 # -- forward ops -----------------------------------------------------------------
@@ -244,7 +246,7 @@ def relu(a: Tensor) -> Tensor:
     def backward(g):
         _accumulate(a, g * mask)
 
-    return make_node(np.where(mask, a.data, 0.0), (a,), backward)
+    return make_node(np.maximum(a.data, 0.0), (a,), backward)  # -0.0 maps to +0.0
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:

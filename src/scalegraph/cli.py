@@ -14,6 +14,7 @@ from pathlib import Path
 
 from scalegraph import __version__
 from scalegraph.graphdata import (
+    DATASET_FILES,
     DataError,
     DirectionProfile,
     compute_stats,
@@ -37,7 +38,6 @@ from scalegraph.models import ModelConfig, build_model
 from scalegraph.scales import SELFLOOP_MODES, ScaleSpec, build_scaled_adjacency
 from scalegraph.sparse import format_coordinate_text
 
-DATASET_FILES = ("edges.tsv", "features.csv", "labels.txt", "splits.json")
 # a field's flag is ``--`` plus its name with dashes, except these; manifests store the flags
 _FLAG_NAMES = {"selfloop_mode": "--selfloops"}
 
@@ -89,22 +89,21 @@ def _add_dataset_flags(p):
 
 
 def _dataset_paths(args):
-    paths = {}
+    """The four dataset paths in ``DATASET_FILES`` order."""
+    paths = []
     for name, flag in zip(DATASET_FILES, ("edges", "features", "labels", "splits")):
         override = getattr(args, flag)
         if override:
-            paths[name] = Path(override)
+            paths.append(Path(override))
         elif args.data_dir:
-            paths[name] = Path(args.data_dir) / name
+            paths.append(Path(args.data_dir) / name)
         else:
             raise _UsageExit(f"missing --data-dir or --{flag}")
     return paths
 
 
 def _load_graph(args):
-    paths = _dataset_paths(args)
-    graph, splits = load_dataset(paths["edges.tsv"], paths["features.csv"],
-                                 paths["labels.txt"], paths["splits.json"])
+    graph, splits = load_dataset(*_dataset_paths(args))
     if getattr(args, "row_normalize", False):
         graph = row_normalize_features(graph)
     return graph, splits

@@ -277,6 +277,10 @@ def row_normalize_features(g: DirectedGraph) -> DirectedGraph:
     return DirectedGraph(g.adjacency, scaled, g.labels, g.n_classes)
 
 
+# the four files of a dataset, in ``load_dataset``'s argument order
+DATASET_FILES = ("edges.tsv", "features.csv", "labels.txt", "splits.json")
+
+
 def load_dataset(edge_path, feature_path, label_path, split_path):
     """Load the four-file dataset format into a graph plus its splits."""
     labels = _read_labels(label_path)
@@ -299,14 +303,16 @@ def save_dataset(out_dir, g: DirectedGraph, splits: SplitSet):
     """Write the canonical dataset files; loading them back is a fixed point."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "edges.tsv").write_text(format_edge_list(g.adjacency))
+    paths = {name: out / name for name in DATASET_FILES}
+    edge_path, feature_path, label_path, split_path = paths.values()
+    edge_path.write_text(format_edge_list(g.adjacency))
     feat_lines = [",".join(repr(float(v)) for v in row) for row in g.features]
-    (out / "features.csv").write_text("\n".join(feat_lines) + "\n")
-    (out / "labels.txt").write_text("\n".join(str(int(y)) for y in g.labels) + "\n")
+    feature_path.write_text("\n".join(feat_lines) + "\n")
+    label_path.write_text("\n".join(str(int(y)) for y in g.labels) + "\n")
     payload = {"splits": [{"train": s.train.tolist(), "val": s.val.tolist(),
                            "test": s.test.tolist()} for s in splits]}
-    (out / "splits.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return {name: out / name for name in ("edges.tsv", "features.csv", "labels.txt", "splits.json")}
+    split_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return paths
 
 
 # -- synthetic graphs -----------------------------------------------------------------
@@ -334,8 +340,10 @@ class DirectionProfile:
 
 
 # random draws per chunk of generate_dsbm: 256 KB of float64, so each chunk's
-# draws and probabilities stay in L2 and are small enough for malloc to reuse its
-# free heap instead of mapping (and page-faulting) fresh pages on every call
+# draws stay in L2 and are small enough for malloc to reuse its free heap instead
+# of mapping (and page-faulting) fresh pages on every call; the draws are the
+# chunk's only float64 array, as a second one freed next to the heap top can
+# push it past malloc's trim threshold and fault the pages back on the next call
 _DSBM_CHUNK_CELLS = 1 << 15
 
 
@@ -371,9 +379,9 @@ def generate_dsbm(n, n_classes, p_in, p_out, profile=DirectionProfile(),
     keys = []
     for r0 in range(0, n, rows_per_chunk):
         r1 = min(n, r0 + rows_per_chunk)
-        prob = np.where(labels[r0:r1, None] == labels[None, :], p_in, p_out)
-        prob[np.arange(r1 - r0), np.arange(r0, r1)] = 0.0
-        hit = rng.random((r1 - r0, n)) < prob
+        draws = rng.random((r1 - r0, n))
+        hit = np.where(labels[r0:r1, None] == labels[None, :], draws < p_in, draws < p_out)
+        hit[np.arange(r1 - r0), np.arange(r0, r1)] = False
         hit[:, starved] = False
         # flat indices of the mask are row-major keys, already sorted and unique
         keys.append(np.flatnonzero(hit) + np.int64(r0) * n)

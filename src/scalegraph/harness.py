@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from scalegraph.autodiff import AdamState, adam_step, backward, softmax_cross_entropy
-from scalegraph.graphdata import DirectedGraph, SplitSet
+from scalegraph.graphdata import DataError, DirectedGraph, SplitSet
 from scalegraph.models import MatrixPlan, ModelConfig, build_matrix_channel_model, build_model
 from scalegraph.scales import SELFLOOP_MODES, remove_shared_edges
 from scalegraph.sparse import SparseMatrix, sym_normalize
@@ -62,7 +62,7 @@ def accuracy(model, graph: DirectedGraph, idx) -> float:
     if len(idx) == 0:
         return 0.0
     logits = model.forward(graph.features, training=False).data
-    return float(np.mean(np.argmax(logits[idx], axis=1) == graph.labels[idx]))
+    return np.count_nonzero(np.argmax(logits[idx], axis=1) == graph.labels[idx]) / len(idx)
 
 
 def train(model, graph: DirectedGraph, split, train_cfg: TrainConfig | None = None,
@@ -79,7 +79,7 @@ def train(model, graph: DirectedGraph, split, train_cfg: TrainConfig | None = No
     """
     tc = train_cfg or TrainConfig()
     if len(split.val) == 0:
-        raise ValueError("training requires a non-empty validation set")
+        raise DataError("training requires a non-empty validation set")
     fused = model.config.dropout == 0.0 and not model.config.use_bn
     rng = np.random.default_rng(seed)
     state = AdamState(lr=model.config.lr)
@@ -100,18 +100,19 @@ def train(model, graph: DirectedGraph, split, train_cfg: TrainConfig | None = No
             logits = model.forward(graph.features, training=True, rng=rng)
         loss = softmax_cross_entropy(logits, graph.labels, split.train)
         backward(loss)
-        adam_step(params, [p.grad for p in params], state)
+        adam_step([model.vector], [np.concatenate([p.grad.ravel() for p in params])], state)
 
         scored = model.forward(graph.features, training=fused, rng=rng)
         logits = scored if fused else None
         preds = np.argmax(scored.data, axis=1)
-        val_acc = float(np.mean(preds[split.val] == graph.labels[split.val]))
+        val_acc = np.count_nonzero(preds[split.val] == graph.labels[split.val]) / len(split.val)
         history.append((float(loss.data), val_acc))
         if val_acc > best_val:
             best_val = val_acc
             best_snap = model.snapshot()
             if len(split.test):
-                best_test = float(np.mean(preds[split.test] == graph.labels[split.test]))
+                best_test = (np.count_nonzero(preds[split.test] == graph.labels[split.test])
+                             / len(split.test))
             es_wait = 0
             lr_wait = 0
         else:

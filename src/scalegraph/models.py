@@ -335,6 +335,11 @@ class Model:
     ``forward`` uses them when it is given that same array; any other array
     takes the sparse path in layer 1 and gives the same logits up to rounding,
     since (S X) W and S (X W) sum their products in different orders.
+
+    Once every weight is drawn, the parameters are packed into one float64
+    ``vector`` (in ``params()`` order), and each parameter's ``data`` is a view
+    of it: one Adam update and one copy per snapshot or restore serve them all.
+    Nothing may rebind a parameter's ``data`` afterwards; write into it instead.
     """
 
     def __init__(self, cfg: ModelConfig, layers, n_classes, rng, features):
@@ -343,6 +348,11 @@ class Model:
         head_in = cfg.hidden * (cfg.layers if cfg.comb2 == "jk_cat" else 1)
         self.head_weight = Tensor(glorot_uniform(head_in, n_classes, rng), requires_grad=True)
         self.head_bias = Tensor(np.zeros((1, n_classes)), requires_grad=True)
+        params = self.params()
+        self.vector = Tensor(np.concatenate([p.data.ravel() for p in params]))
+        ends = np.cumsum([p.data.size for p in params])
+        for p, end in zip(params, ends):
+            p.data = self.vector.data[end - p.data.size:end].reshape(p.data.shape)
         self.features = features
         self.inputs = [propagate(channel, Tensor(features)) for channel in layers[0].channels]
 
@@ -370,13 +380,11 @@ class Model:
         return out
 
     def snapshot(self):
-        return ([p.data.copy() for p in self.params()],
-                [s.copy() for s in self.bn_states()])
+        return self.vector.data.copy(), [s.copy() for s in self.bn_states()]
 
     def restore(self, snap):
-        datas, states = snap
-        for p, data in zip(self.params(), datas):
-            p.data = data.copy()
+        vector, states = snap
+        self.vector.data[:] = vector
         for live, saved in zip(self.bn_states(), states):
             live.running_mean = saved.running_mean.copy()
             live.running_var = saved.running_var.copy()

@@ -54,6 +54,31 @@ def test_relu_all_negative_is_zero():
     assert np.all(relu(x).data == 0.0)
 
 
+def test_relu_gives_positive_zero_for_signed_zeros_and_negatives():
+    data = np.full((5, 37), -0.0)
+    data[1] = 0.0
+    data[2] = -2.5
+    data[3, ::2] = 1.5
+    x = Tensor(data, requires_grad=True)
+    out = relu(x)
+    assert np.array_equal(out.data, np.where(data > 0, data, 0.0))
+    assert not np.signbit(out.data).any()
+    backward(sum_all(out))
+    assert np.array_equal(x.grad, (data > 0).astype(float))  # 0 at 0, either sign
+
+
+def test_a_gradient_handed_to_two_parents_is_not_changed_in_place():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((1, 3)), requires_grad=True)
+    c = Tensor(np.ones((2, 3)), requires_grad=True)
+    h = add(add_bias(a, b), c)
+    backward(sum_all(add(h, a)))  # one upstream array reaches h, c, a and b's node
+    assert np.array_equal(a.grad, np.full((2, 3), 2.0))
+    assert np.array_equal(b.grad, np.full((1, 3), 2.0))
+    assert np.array_equal(c.grad, np.ones((2, 3)))
+    assert np.array_equal(h.grad, np.ones((2, 3)))
+
+
 def test_cross_entropy_perfect_logits_vanishes():
     labels = np.array([0, 1, 2])
     logits = Tensor(50.0 * np.eye(3))

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from scalegraph.cli import DATASET_FILES, build_parser, main
-from scalegraph.graphdata import load_dataset
+from scalegraph.cli import build_parser, main
+from scalegraph.graphdata import DATASET_FILES, load_dataset
 from scalegraph.harness import TrainConfig, train
 from scalegraph.models import COMB1_CHOICES, COMB2_CHOICES, FAMILIES, ModelConfig, build_model
 from scalegraph.scales import SECOND_SCALE_SELFLOOP_MODES, SELFLOOP_MODES
@@ -314,6 +314,16 @@ def test_malformed_splits_are_data_errors(tmp_path, capsys):
         (ds / "splits.json").write_text(json.dumps(payload))
         rc, _, err = run(capsys, "stats", *dataset_args(ds), "--out-dir", str(tmp_path / "out"))
         assert rc == 2 and "data error" in err and where in err, err
+
+
+def test_empty_validation_set_is_data_error(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    shutil.copytree(HAND7, ds)
+    (ds / "splits.json").write_text(json.dumps(
+        {"splits": [{"train": [0, 2, 4, 6], "val": [], "test": [3]}]}))
+    rc, _, err = run(capsys, "train", *dataset_args(ds), *FAST_TRAIN,
+                     "--out-dir", str(tmp_path / "out"))
+    assert rc == 2 and "data error" in err and "validation set" in err, err
 
 
 def test_bad_config_value_is_usage_error(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from scalegraph import graphdata
 from scalegraph.graphdata import (
+    DATASET_FILES,
     DataError,
     DirectedGraph,
     DirectionProfile,
@@ -53,8 +54,8 @@ def test_hand7_round_trips_known_values():
 def test_save_load_is_fixed_point(tmp_path):
     g, splits = load_hand7()
     first = save_dataset(tmp_path / "a", g, splits)
-    g2, splits2 = load_dataset(*(first[k] for k in ("edges.tsv", "features.csv",
-                                                    "labels.txt", "splits.json")))
+    assert tuple(first) == DATASET_FILES
+    g2, splits2 = load_dataset(*first.values())
     second = save_dataset(tmp_path / "b", g2, splits2)
     for name in first:
         assert first[name].read_bytes() == second[name].read_bytes()

@@ -425,6 +425,37 @@ def test_precomputed_layer_one_runs_no_sparse_product(small_graph, monkeypatch):
     assert calls == channel_matrices(model)  # one product per blended pair
 
 
+def params_view_the_vector(model):
+    vector = model.vector.data
+    return (np.array_equal(np.concatenate([p.data.ravel() for p in model.params()]), vector)
+            and all(np.shares_memory(p.data, vector) for p in model.params()))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_params_are_views_of_one_vector(small_graph, family):
+    directions = {"alpha": 0.5, "comb1": "jk_cat"} if family == "scalenet" else {}
+    cfg = ModelConfig(family=family, layers=2, hidden=6, use_bn=True, comb2="jk_cat",
+                      **directions)
+    model = build_model(cfg, small_graph, seed=2)
+    assert params_view_the_vector(model)
+    snap = model.snapshot()
+    split = make_random_splits(small_graph, n_splits=1, seed=0)[0]
+    harness.train(model, small_graph, split, harness.TrainConfig(max_epochs=3), seed=2)
+    model.restore(snap)
+    assert params_view_the_vector(model)
+
+
+def test_snapshot_is_unchanged_by_a_later_step(small_graph):
+    model = build_model(ModelConfig(alpha=0.5, hidden=6), small_graph, seed=4)
+    before = model.vector.data.copy()
+    snap = model.snapshot()
+    split = make_random_splits(small_graph, n_splits=1, seed=0)[0]
+    harness.train(model, small_graph, split, harness.TrainConfig(max_epochs=3), seed=4)
+    assert not np.array_equal(model.vector.data, before)  # train restored a stepped state
+    model.restore(snap)
+    assert np.array_equal(model.vector.data, before)
+
+
 def test_snapshot_restore_round_trip(small_graph):
     cfg = ModelConfig(alpha=0.5, layers=2, hidden=6, use_bn=True)
     model = build_model(cfg, small_graph, seed=1)
