@@ -141,7 +141,10 @@ def _spmm_data(s: SparseMatrix, x: np.ndarray) -> np.ndarray:
     allocates stays resident in its thread's malloc arena. For that reason a
     worker copies each run's column indices into a writable buffer (``take``
     copies read-only indices) and gathers with ``mode="clip"``
-    (``mode="raise"`` copies ``out``); the indices are in range.
+    (``mode="raise"`` copies ``out``); the indices are in range. The buffer is
+    ``intp``, so the copy also widens the int32 indices: ``take`` from int32
+    indices converts them on every call, and was measured slower (95 against
+    74 µs for 64k entries).
     """
     if s.n_cols != x.shape[0]:
         raise ValueError(f"spmm shape mismatch: {s.shape} @ {x.shape}")

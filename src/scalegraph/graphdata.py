@@ -17,6 +17,7 @@ import numpy as np
 from scalegraph.sparse import (
     SparseMatrix,
     _from_sorted_keys,
+    _ones,
     degrees,
     format_edge_list,
     parse_edge_list,
@@ -390,7 +391,7 @@ def generate_dsbm(n, n_classes, p_in, p_out, profile=DirectionProfile(),
     onehot[np.arange(n), labels] = 1.0
     features = onehot + rng.normal(0.0, feature_noise, size=(n, n_classes))
     keys = np.concatenate(keys)
-    adj = _from_sorted_keys(n, n, keys, np.ones(len(keys)))
+    adj = _from_sorted_keys(n, n, keys, _ones(len(keys)))
     return DirectedGraph(adj, features, labels, n_classes)
 
 

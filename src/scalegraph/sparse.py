@@ -5,6 +5,10 @@ sorted, deduplicated column indices, so structural equality and the pattern
 set-algebra (union / intersection / difference) are well defined. Values are
 float64; a "pattern" matrix stores 1.0 for every structural entry, as a
 read-only stride-0 view of one shared 1.0, so its values take no memory.
+
+Column indices are int32, so a matrix has at most 2**31 - 1 columns. Row
+offsets and the flat keys ``row * n_cols + col`` that the kernels sort are
+int64, so neither the entry count nor the key arithmetic is bounded by int32.
 """
 
 import weakref
@@ -34,6 +38,9 @@ __all__ = [
 # entry pairs per chunk of ``SparseMatrix._check``'s in-row order check
 _CHECK_CHUNK = 1 << 16
 
+# the most columns a matrix may have: its column indices are int32
+_MAX_COLS = np.iinfo(np.int32).max
+
 # the one buffer behind every pattern's values
 _ONE = np.ones(1)
 _ONE.flags.writeable = False
@@ -51,6 +58,8 @@ class SparseMatrix:
       * ``row_offsets`` is non-decreasing, starts at 0, ends at nnz;
       * column indices are strictly increasing within each row;
       * all column indices are < ``n_cols`` and all values are finite.
+
+    ``col_indices`` is stored as int32; it is range-checked before it is narrowed.
     """
 
     __slots__ = ("n_rows", "n_cols", "row_offsets", "col_indices", "values", "_t_cache",
@@ -58,9 +67,15 @@ class SparseMatrix:
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values):
         self.n_rows = int(n_rows)
-        self.n_cols = int(n_cols)
+        self.n_cols = _check_n_cols(int(n_cols))
         self.row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int64)
-        self.col_indices = np.ascontiguousarray(col_indices, dtype=np.int64)
+        cols = np.asarray(col_indices)
+        if cols.dtype != np.int32:  # check at int64: a narrowing cast wraps silently
+            cols = np.asarray(cols, dtype=np.int64)
+        if len(cols) and (cols.min() < 0 or cols.max() >= self.n_cols):
+            raise ValueError("column index out of range")
+        # an int32 array is kept as it is, so a matrix can share its pattern's indices
+        self.col_indices = np.ascontiguousarray(cols, dtype=np.int32)
         # not made contiguous: a pattern's values are a stride-0 view (``_ones``)
         self.values = np.asarray(values, dtype=np.float64)
         self._t_cache = None
@@ -81,9 +96,6 @@ class SparseMatrix:
         if len(self.values) != len(self.col_indices):
             raise ValueError("values and col_indices length mismatch")
         cols = self.col_indices
-        if len(cols):
-            if cols.min() < 0 or cols.max() >= self.n_cols:
-                raise ValueError("column index out of range")
         # strictly increasing inside each row <=> no duplicates, sorted; checked for the
         # pairs (k, k + 1), k in [e0, e1), one chunk at a time to bound the temporaries
         for e0 in range(0, len(cols) - 1, _CHECK_CHUNK):
@@ -224,13 +236,20 @@ def _values_at(s, index):
     return s.values[index]
 
 
+def _check_n_cols(n_cols):
+    if n_cols > _MAX_COLS:
+        raise ValueError(f"n_cols={n_cols} exceeds 2**31 - 1, the int32 column index limit")
+    return n_cols
+
+
 def _from_sorted_keys(n_rows, n_cols, keys, values):
     """CSR from flat keys ``row * n_cols + col`` that are sorted and unique."""
+    _check_n_cols(n_cols)  # before the offsets are allocated
     keys = np.asarray(keys, dtype=np.int64)
-    rows = keys // n_cols
-    cols = keys % n_cols
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=offsets[1:])
+    np.cumsum(np.bincount(keys // n_cols, minlength=n_rows), out=offsets[1:])
+    cols = np.empty(len(keys), dtype=np.int32)  # narrowed chunk by chunk, no int64 copy
+    np.remainder(keys, n_cols, out=cols, casting="unsafe")
     return SparseMatrix(n_rows, n_cols, offsets, cols, values)
 
 
@@ -267,7 +286,7 @@ def transpose(s: SparseMatrix) -> SparseMatrix:
 
 def _sorted_transpose(s):
     """A sort of the unique keys ``col * n_rows + row``."""
-    rows = np.repeat(np.arange(s.n_rows, dtype=np.int64), np.diff(s.row_offsets))
+    rows = np.repeat(np.arange(s.n_rows, dtype=np.int32), np.diff(s.row_offsets))
     # the keys are unique, so every sort kind gives this one permutation
     order = np.argsort(s.col_indices * np.int64(s.n_rows) + rows)
     offsets = np.zeros(s.n_cols + 1, dtype=np.int64)
@@ -292,7 +311,8 @@ def link_transposes(s: SparseMatrix, t: SparseMatrix) -> None:
 
 
 # A row block of ``spgemm`` expands at most this many products (8 MB per int64
-# array), unless one row alone has more and gets a block to itself.
+# array: the products' positions and keys are int64, though the column indices
+# they gather are int32), unless one row alone has more and gets a block to itself.
 _SPGEMM_MAX_PRODUCTS = 1 << 20
 
 
@@ -472,7 +492,7 @@ def weighted_sum(m: SparseMatrix, n: SparseMatrix, c_m: float, c_n: float,
     sides = [(s, c, _normalizers(s, _row_ids(s)) if normalize else None)
              for s, c in ((m, c_m), (n, c_n))]
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    cols = np.empty(m.nnz + n.nnz, dtype=np.int64)
+    cols = np.empty(m.nnz + n.nnz, dtype=np.int32)
     vals = np.empty(m.nnz + n.nnz)
     both = m.row_offsets + n.row_offsets  # entries of both sides before each row
     filled = r0 = 0
@@ -534,7 +554,8 @@ def parse_edge_list(text: str, n: int | None = None) -> SparseMatrix:
     """Parse "src<TAB>dst" lines (0-based, '#' comments) into a pattern adjacency.
 
     ``n`` defaults to 1 + the largest endpoint seen. Raises ValueError with the
-    offending 1-based line number on malformed input.
+    offending 1-based line number on malformed input, and naming an endpoint above
+    2**31 - 2, which no int32 column index holds, before anything is allocated for it.
 
     Text in the plain form ``format_edge_list`` writes is read by ``_plain_edge_ends``
     in numpy, with no Python object per number; any other text is read line by line,
@@ -547,6 +568,9 @@ def parse_edge_list(text: str, n: int | None = None) -> SparseMatrix:
     else:
         src, dst = ends[0::2], ends[1::2]
         top = int(ends.max()) if len(ends) else -1
+    if top >= _MAX_COLS:
+        raise ValueError(f"edge endpoint {top} exceeds {_MAX_COLS - 1}, the largest int32 "
+                         "node id")
     if n is None:
         n = 1 + top
     if top >= n:

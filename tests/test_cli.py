@@ -124,7 +124,8 @@ def test_scale_data_dir_sizes_the_matrix_by_the_node_count(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, named", [("0\t1\n1\tx\n", "line 2: non-integer"),
-                                         ("0\t1\n-1\t2\n", "line 2: negative")])
+                                         ("0\t1\n-1\t2\n", "line 2: negative"),
+                                         ("0\t3000000000\n", "edge endpoint 3000000000")])
 def test_scale_malformed_edge_file_is_data_error(tmp_path, capsys, text, named):
     edges = tmp_path / "bad.tsv"
     edges.write_text(text)

@@ -476,6 +476,18 @@ def channel_matrices(model):
     return [m for m, _ in model.layers[0].channels]
 
 
+def test_model_matrices_hold_int32_indices_shared_with_their_words(small_graph):
+    plan = MatrixPlan(small_graph.adjacency)
+    for word in scales.MODEL_WORDS:
+        modes = scales.SELFLOOP_MODES if len(word) == 1 else scales.SECOND_SCALE_SELFLOOP_MODES
+        for mode in modes:
+            assert np.shares_memory(plan.normalized(word, mode).col_indices,
+                                    plan.word(word, mode).col_indices)
+    cfg = ModelConfig(alpha=0.5, beta=1.0, gamma=0.5, layers=1, hidden=8)
+    for mat in channel_matrices(build_model(cfg, small_graph, seed=0, plan=plan)):
+        assert mat.col_indices.nbytes == 4 * mat.nnz
+
+
 def count_sorts(monkeypatch):
     """List that grows by one for every transpose actually sorted (a cache miss)."""
     sorts = []

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalegraph import sparse
+from scalegraph.graphdata import generate_dsbm
 from scalegraph.sparse import (
     SparseMatrix,
     add_self_loops,
@@ -86,6 +88,58 @@ def test_column_out_of_range_rejected():
         SparseMatrix.from_coo(2, 2, [0], [5], [1.0])
 
 
+@pytest.mark.parametrize("col", [2**32 + 1, 2**33 + 7, -(2**32) + 3])
+def test_column_index_is_range_checked_before_it_is_narrowed(col):
+    assert 0 <= np.array([col]).astype(np.int32)[0] < 10  # a cast alone would wrap into range
+    with pytest.raises(ValueError, match="column index out of range"):
+        SparseMatrix(1, 10, [0, 1], np.array([col]), [1.0])
+
+
+def test_more_columns_than_int32_indices_hold_rejected():
+    with pytest.raises(ValueError, match=r"2\*\*31 - 1, the int32 column index limit"):
+        SparseMatrix(1, 2**31, [0, 0], [], [])
+    assert SparseMatrix.empty(1, 2**31 - 1).n_cols == 2**31 - 1
+
+
+def test_keys_and_pattern_ops_stay_exact_at_the_int32_limit():
+    n = 2**31 - 1
+    tracemalloc.start()
+    try:
+        a = SparseMatrix.from_coo(2, n, [0, 1, 1], [5, 0, n - 1])
+        b = SparseMatrix.from_coo(2, n, [1, 1], [7, n - 1])
+        assert a._keys().tolist() == [5, n, 2**32 - 3]
+        assert pattern_union(a, b)._keys().tolist() == [5, n, n + 7, 2**32 - 3]
+        assert pattern_intersection(a, b)._keys().tolist() == [2**32 - 3]
+        assert pattern_difference(a, b)._keys().tolist() == [5, n]
+        assert format_edge_list(a) == f"0\t5\n1\t0\n1\t{n - 1}\n"
+        text = format_coordinate_text(a)
+        assert text.splitlines()[1:] == [f"2 {n} 3", "1 6 1.0", "2 1 1.0", f"2 {n} 1.0"]
+        assert parse_coordinate_text(text) == a
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # nothing is allocated per column
+
+
+def test_every_matrix_stores_int32_column_indices():
+    rng = np.random.default_rng(5)
+    a, b = random_digraph(rng, 8, 0.3), random_digraph(rng, 8, 0.3)
+    w = random_weighted(rng, 8, 8)
+    made = [SparseMatrix.from_coo(2, 3, [0, 1], [2, 0]), SparseMatrix.from_edges(4, [0, 3], [1, 2]),
+            SparseMatrix.from_dense(np.eye(3)), SparseMatrix.identity(4), SparseMatrix.empty(2, 3),
+            a.pattern(), transpose(w), spgemm(a, b), spgemm(a, b, "pattern"),
+            pattern_union(a, b), pattern_intersection(a, b), pattern_difference(a, b),
+            add_self_loops(w), remove_self_loops(w), sym_normalize(w),
+            weighted_sum(a, w, 0.5, 0.25), weighted_sum(a, b, 0.5, 0.5, normalize=True),
+            parse_edge_list("0\t1\n2\t0\n"), parse_edge_list("0\t1 # c\n2\t0\n"),
+            parse_coordinate_text(format_coordinate_text(w))]
+    for s in made:
+        assert s.col_indices.dtype == np.int32 and s.row_offsets.dtype == np.int64
+    # a normalized matrix and a pattern keep the indices of the matrix they come from
+    assert np.shares_memory(sym_normalize(w).col_indices, w.col_indices)
+    assert np.shares_memory(w.pattern().col_indices, w.col_indices)
+
+
 @pytest.mark.parametrize("at", range(9))
 def test_order_check_sees_every_pair_across_chunk_edges(monkeypatch, at):
     # chunks of 4 entry pairs: pairs (3, 4) and (7, 8) cross chunk edges
@@ -107,7 +161,8 @@ def test_pattern_values_are_read_only_views_of_one_buffer():
     b = random_digraph(rng, 6, 0.4)
     patterns = [a, b.pattern(), transpose(a), spgemm(a, b, "pattern"), pattern_union(a, b),
                 pattern_intersection(a, b), pattern_difference(a, b), add_self_loops(a),
-                remove_self_loops(add_self_loops(a)), SparseMatrix.identity(4)]
+                remove_self_loops(add_self_loops(a)), SparseMatrix.identity(4),
+                generate_dsbm(30, 3, 0.3, 0.05, seed=2).adjacency]
     for p in patterns:
         assert np.array_equal(p.values, np.ones(p.nnz))
         assert p.values.base is patterns[0].values.base and p.values.strides == (0,)
@@ -680,6 +735,15 @@ def test_plain_and_line_by_line_edge_reads_agree(monkeypatch, text):
 ])
 def test_edge_list_reports_the_first_bad_line(text, line):
     with pytest.raises(ValueError, match=f"line {line}:"):
+        parse_edge_list(text)
+
+
+@pytest.mark.parametrize("text, top", [("0\t3000000000\n", 3000000000),  # plain text
+                                       ("0\t2147483647 # c\n", 2**31 - 1),
+                                       ("99999999999999999999 0\n", 10**20 - 1)])
+def test_an_endpoint_no_int32_index_holds_is_named(text, top):
+    # refused before the 8 * (top + 2) bytes of row offsets of an n = top + 1 matrix
+    with pytest.raises(ValueError, match=f"edge endpoint {top} exceeds 2147483646"):
         parse_edge_list(text)
 
 
