@@ -89,7 +89,7 @@ class SplitSet:
         normalized = []
         for s in self.splits:
             parts = (s.train, s.val, s.test) if isinstance(s, Split) else tuple(s)
-            normalized.append(Split(*(np.ascontiguousarray(sorted(p), dtype=np.int64)
+            normalized.append(Split(*(np.ascontiguousarray(np.sort(p), dtype=np.int64)
                                       for p in parts)))
         self.splits = normalized
 
@@ -100,7 +100,8 @@ class SplitSet:
             joined = np.concatenate([s.train, s.val, s.test])
             if len(joined) and (joined.min() < 0 or joined.max() >= n):
                 raise DataError(f"split {i}: node index out of range (n={n})")
-            if len(np.unique(joined)) != len(joined):
+            joined.sort()
+            if np.any(joined[1:] == joined[:-1]):
                 raise DataError(f"split {i}: train/val/test sets overlap")
         return self
 

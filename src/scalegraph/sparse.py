@@ -6,9 +6,10 @@ set-algebra (union / intersection / difference) are well defined. Values are
 float64; a "pattern" matrix stores 1.0 for every structural entry, as a
 read-only stride-0 view of one shared 1.0, so its values take no memory.
 
-Column indices are int32, so a matrix has at most 2**31 - 1 columns. Row
-offsets and the flat keys ``row * n_cols + col`` that the kernels sort are
-int64, so neither the entry count nor the key arithmetic is bounded by int32.
+Column indices are int32, so a matrix has at most 2**31 - 1 columns. Row offsets
+and a whole matrix's flat keys ``row * n_cols + col`` are int64; ``spgemm`` and
+``weighted_sum`` sort int32 keys, rows counted from a block's first, in blocks of at
+most ``(2**31 - 1) // n_cols`` rows.
 """
 
 import weakref
@@ -128,10 +129,9 @@ class SparseMatrix:
         keys = rows * np.int64(n_cols) + cols
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        values = values[order]
-        uniq, start = np.unique(keys, return_index=True)
-        summed = np.add.reduceat(values, start) if len(values) else values
-        return _from_sorted_keys(n_rows, n_cols, uniq, summed)
+        first = _first_of_runs(keys)
+        summed = np.add.reduceat(values[order], np.flatnonzero(first)) if len(values) else values
+        return _from_sorted_keys(n_rows, n_cols, keys[first], summed)
 
     @staticmethod
     def from_edges(n, src, dst):
@@ -224,9 +224,14 @@ def _sorted_unique(keys):
     1M int64 keys where this takes 15 ms.
     """
     keys = np.sort(keys)
+    return keys[_first_of_runs(keys)]
+
+
+def _first_of_runs(keys):
+    """Mask of the entries of a sorted array that differ from the entry before."""
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
+    return first
 
 
 def _values_at(s, index):
@@ -310,19 +315,21 @@ def link_transposes(s: SparseMatrix, t: SparseMatrix) -> None:
         s._t_cache, t._t_cache = weakref.ref(t), weakref.ref(s)
 
 
-# A row block of ``spgemm`` expands at most this many products (8 MB per int64
-# array: the products' positions and keys are int64, though the column indices
-# they gather are int32), unless one row alone has more and gets a block to itself.
-_SPGEMM_MAX_PRODUCTS = 1 << 20
+# A row block of ``spgemm`` expands at most this many products (about 30 bytes each),
+# unless one row alone has more and gets a block to itself. The four second-scale words
+# of a degree-10 graph, median time and tracemalloc peak at n = 10k | 30k (2-CPU Xeon):
+# 2^14 120 ms 17.9 MB | 296 ms 55.1 MB; 2^16 116 ms 19.3 MB | 297 ms 56.4 MB;
+# 2^18 112 ms 24.9 MB | 273 ms 60.3 MB; 2^20 114 ms 39.1 MB | 350 ms 85.4 MB.
+_SPGEMM_MAX_PRODUCTS = 1 << 16
 
 
 def spgemm(a: SparseMatrix, b: SparseMatrix, semiring: str = "counted") -> SparseMatrix:
     """Sparse-sparse product: Gustavson's row-wise product over blocks of rows.
 
-    Each block expands every product ``a_ik * b_kj`` of its rows at once and
-    finds its sorted output keys ``row * n_cols + col`` by sorting the
-    products' keys and dropping repeats. A block is bounded by a product
-    budget and holds at least one row.
+    Each block expands every product ``a_ik * b_kj`` of its rows at once, finds
+    its sorted int32 output keys by sorting the products' keys and dropping
+    repeats, and writes its row ends and columns into the output. A block is
+    bounded by a product budget and the int32 key range and holds at least one row.
 
     ``counted`` gives the exact real product; each entry sums its terms in the
     order of ``a``'s entries, starting from 0.0. ``pattern`` gives its
@@ -340,34 +347,38 @@ def spgemm(a: SparseMatrix, b: SparseMatrix, semiring: str = "counted") -> Spars
     # products up to the end of each entry of a, and before each row of a
     entry_end = np.cumsum(b_len[a.col_indices])
     row_start = np.concatenate(([0], entry_end))[a.row_offsets]
-    out_keys, out_vals = [], []
-    r0 = 0
+    offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    cols = np.empty(0, dtype=np.int32)
+    vals = np.empty(0)
+    filled = r0 = 0
     while r0 < n_rows:
         # rows [r0, r1) fit the product budget; a hub row gets a block alone
         r1 = int(np.searchsorted(row_start, row_start[r0] + _SPGEMM_MAX_PRODUCTS,
                                  side="right")) - 1
-        r1 = min(n_rows, max(r0 + 1, r1))
+        r1 = min(n_rows, r0 + _MAX_COLS // max(n_cols, 1), max(r0 + 1, r1))
         lo, hi = a.row_offsets[r0], a.row_offsets[r1]
-        n_prod = int(row_start[r1] - row_start[r0])
-        if n_prod:
-            k = a.col_indices[lo:hi]
-            lens = b_len[k]
-            # position in b of every product, in (entry of a, entry of b) order
-            shift = b.row_offsets[k] - (entry_end[lo:hi] - lens - row_start[r0])
-            bpos = np.repeat(shift, lens) + np.arange(n_prod, dtype=np.int64)
-            rows = np.repeat(np.arange(r1 - r0, dtype=np.int64), np.diff(row_start[r0:r1 + 1]))
-            keys = rows * np.int64(n_cols) + b.col_indices[bpos]
-            uniq = _sorted_unique(keys)
-            if counted:
-                terms = np.repeat(a.values[lo:hi], lens) * b.values[bpos]
-                # bincount adds each cell's terms in array order, from 0.0
-                out_vals.append(np.bincount(np.searchsorted(uniq, keys), weights=terms,
-                                            minlength=len(uniq)))
-            out_keys.append(uniq + np.int64(r0) * n_cols)
-        r0 = r1
-    keys = np.concatenate(out_keys) if out_keys else np.zeros(0, dtype=np.int64)
-    vals = np.concatenate(out_vals) if counted and out_vals else _ones(len(keys))
-    return _from_sorted_keys(n_rows, n_cols, keys, vals)
+        k = a.col_indices[lo:hi]
+        lens = b_len[k]
+        # position in b of every product, in (entry of a, entry of b) order
+        shift = b.row_offsets[k] - (entry_end[lo:hi] - lens - row_start[r0])
+        bpos = np.repeat(shift, lens) + np.arange(row_start[r1] - row_start[r0])
+        rows = np.repeat(np.arange(r1 - r0, dtype=np.int32), np.diff(row_start[r0:r1 + 1]))
+        keys = rows * np.int32(n_cols) + b.col_indices[bpos]
+        uniq = _sorted_unique(keys)
+        end = filled + len(uniq)
+        # the first key of each next row, and so where each row ends, found in ``uniq``
+        row_keys = np.arange(1, r1 - r0 + 1, dtype=np.int32) * np.int32(n_cols)
+        offsets[r0 + 1:r1 + 1] = filled + np.searchsorted(uniq, row_keys)
+        cols.resize(end, refcheck=False)  # grows in place; no other reference exists
+        np.remainder(uniq, n_cols, out=cols[filled:end])
+        if counted:
+            terms = np.repeat(a.values[lo:hi], lens) * b.values[bpos]
+            vals.resize(end, refcheck=False)
+            # bincount adds each cell's terms in array order, from 0.0
+            vals[filled:end] = np.bincount(np.searchsorted(uniq, keys), weights=terms,
+                                           minlength=len(uniq))
+        filled, r0 = end, r1
+    return SparseMatrix(n_rows, n_cols, offsets, cols, vals if counted else _ones(filled))
 
 
 def _require_same_shape(a, b):
@@ -442,9 +453,8 @@ def sym_normalize(s: SparseMatrix) -> SparseMatrix:
         raise ValueError("normalization requires a square matrix")
     if np.any(s.values < 0):
         raise ValueError("normalization requires non-negative values")
-    rows = _row_ids(s)
-    r_inv, c_inv = _normalizers(s, rows)
-    vals = s.values * r_inv[rows] * c_inv[s.col_indices]
+    r_inv, c_inv = _normalizers(s)
+    vals = s.values * r_inv[_row_ids(s)] * c_inv[s.col_indices]
     return SparseMatrix(s.n_rows, s.n_cols, s.row_offsets, s.col_indices, vals)
 
 
@@ -452,23 +462,24 @@ def _row_ids(s):
     return np.repeat(np.arange(s.n_rows, dtype=np.int64), np.diff(s.row_offsets))
 
 
-def _normalizers(s, rows):
+def _normalizers(s):
     """The normalization rule: 1/sqrt of each row sum and each column sum of ``s``, or 0
-    where a sum is 0. ``rows`` is the row of each entry."""
+    where a sum is 0."""
     if s.values.base is _ONE:  # a pattern's sums are its counts, the same floats
         row_sum = np.diff(s.row_offsets)
         col_sum = np.bincount(s.col_indices, minlength=s.n_cols)
     else:
-        row_sum = np.bincount(rows, weights=s.values, minlength=s.n_rows)
+        row_sum = np.bincount(_row_ids(s), weights=s.values, minlength=s.n_rows)
         col_sum = np.bincount(s.col_indices, weights=s.values, minlength=s.n_cols)
     with np.errstate(divide="ignore"):
         return tuple(np.where(t > 0, 1.0 / np.sqrt(t), 0.0) for t in (row_sum, col_sum))
 
 
-# entries of both operands that one row block of ``weighted_sum`` merges, unless one row
-# alone has more and gets a block to itself. A block's temporaries, about 64 bytes per
-# entry, stay near 0.5 MB: 2^16-entry blocks raised the peak memory of a grid search on
-# a 300-node graph by 1.5 MB, and were no faster on 2M-entry blends
+# entries of both operands that one row block of ``weighted_sum`` merges (about 35 bytes
+# of temporaries each), unless one row alone has more and gets a block to itself. The three
+# normalized blends of a degree-10 graph, n = 10k, median of 9 (2-CPU Xeon): 2^11 283 ms,
+# 2^13 190 ms, 2^15 158 ms, 2^16 150 ms, tracemalloc peak 51-53 MB at each. But 2^15 raised
+# the peak RSS of the grid-desk benchmark by 0.8 MB, and 2^16 that of a grid search by 1.5 MB
 _SUM_BLOCK_ENTRIES = 1 << 13
 
 
@@ -489,7 +500,7 @@ def weighted_sum(m: SparseMatrix, n: SparseMatrix, c_m: float, c_n: float,
         if np.any(m.values < 0) or np.any(n.values < 0):
             raise ValueError("normalization requires non-negative values")
     n_rows, n_cols = m.shape
-    sides = [(s, c, _normalizers(s, _row_ids(s)) if normalize else None)
+    sides = [(s, c, _normalizers(s) if normalize else None)
              for s, c in ((m, c_m), (n, c_n))]
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
     cols = np.empty(m.nnz + n.nnz, dtype=np.int32)
@@ -498,14 +509,13 @@ def weighted_sum(m: SparseMatrix, n: SparseMatrix, c_m: float, c_n: float,
     filled = r0 = 0
     while r0 < n_rows:
         r1 = int(np.searchsorted(both, both[r0] + _SUM_BLOCK_ENTRIES, side="right")) - 1
-        r1 = min(n_rows, max(r0 + 1, r1))
+        r1 = min(n_rows, r0 + _MAX_COLS // max(n_cols, 1), max(r0 + 1, r1))
         key, col, term = (np.concatenate(parts) for parts in zip(
             *(_block_terms(s, c, scale, r0, r1) for s, c, scale in sides)))
         # m's entries come before n's, so a stable sort puts c_m * x before c_n * y
         order = np.argsort(key, kind="stable")
         key = key[order]
-        first = np.ones(len(key), dtype=bool)
-        first[1:] = key[1:] != key[:-1]
+        first = _first_of_runs(key)
         unique = order[first]
         end = filled + len(unique)
         out = vals[filled:end]
@@ -525,16 +535,16 @@ def weighted_sum(m: SparseMatrix, n: SparseMatrix, c_m: float, c_n: float,
 
 
 def _block_terms(s, c, scale, r0, r1):
-    """Keys ``row * n_cols + col`` (rows counted from ``r0``), columns and terms ``c * x``
-    of the entries of rows [r0, r1); ``x`` is the entry's value, scaled by ``scale``, a
-    pair of row and column normalizers, as ``sym_normalize`` scales it."""
+    """int32 keys ``row * n_cols + col`` (rows counted from ``r0``), columns and terms
+    ``c * x`` of the entries of rows [r0, r1); ``x`` is the entry's value, scaled by
+    ``scale``, a pair of row and column normalizers, as ``sym_normalize`` scales it."""
     lo, hi = s.row_offsets[r0], s.row_offsets[r1]
-    rows = np.repeat(np.arange(r1 - r0, dtype=np.int64), np.diff(s.row_offsets[r0:r1 + 1]))
+    rows = np.repeat(np.arange(r1 - r0, dtype=np.int32), np.diff(s.row_offsets[r0:r1 + 1]))
     col = s.col_indices[lo:hi]
     x = s.values[lo:hi]
     if scale is not None:
         x = x * scale[0][r0:r1][rows] * scale[1][col]
-    return rows * np.int64(s.n_cols) + col, col, c * x
+    return rows * np.int32(s.n_cols) + col, col, c * x
 
 
 def apply_selfloop_mode(s: SparseMatrix, mode: str) -> SparseMatrix:

@@ -84,6 +84,43 @@ def test_overlapping_split_rejected(tmp_path):
                      HAND7 / "labels.txt", tmp_path / "splits.json")
 
 
+def reference_split_set(splits, n):
+    """Python ``sorted`` per part and ``np.unique`` for overlaps: ``SplitSet``'s reference.
+    Returns the sorted parts and the text of the first ``DataError``, or None."""
+    parts = [[np.ascontiguousarray(sorted(p), dtype=np.int64) for p in s] for s in splits]
+    for i, (train, val, test) in enumerate(parts):
+        joined = np.concatenate([train, val, test])
+        if len(train) == 0:
+            return parts, f"split {i}: empty train set"
+        if len(joined) and (joined.min() < 0 or joined.max() >= n):
+            return parts, f"split {i}: node index out of range (n={n})"
+        if len(np.unique(joined)) != len(joined):
+            return parts, f"split {i}: train/val/test sets overlap"
+    return parts, None
+
+
+def test_split_set_sorts_and_rejects_like_its_reference():
+    rng = np.random.default_rng(8)
+    cases = [([([3, 1, 2], [0], [])], 4), ([((), [1], [2])], 3), ([([2, 2], [], [])], 3),
+             ([([0, 1], [4], [1])], 5), ([(np.array([5, 0], dtype=np.int32), [9], [3, 8])], 10)]
+    for _ in range(200):  # repeats, overlaps, indices out of range, empty parts
+        n = int(rng.integers(1, 12))
+        cases.append(([tuple(rng.integers(-1, n + 1, size=rng.integers(0, 5)).tolist()
+                             for _ in range(3)) for _ in range(int(rng.integers(1, 3)))], n))
+    for splits, n in cases:
+        want, error = reference_split_set(splits, n)
+        s = SplitSet(splits)
+        for got, ref in zip(s, want, strict=True):
+            for g, r in zip((got.train, got.val, got.test), ref):
+                assert g.dtype == np.int64 and np.array_equal(g, r)
+        if error is None:
+            assert s.validate(n) is s
+        else:
+            with pytest.raises(DataError) as err:
+                s.validate(n)
+            assert str(err.value) == error
+
+
 def test_graph_features_are_an_owned_read_only_copy():
     features = np.arange(6.0).reshape(3, 2)
     g = DirectedGraph(SparseMatrix.from_edges(3, [0], [1]), features, [0, 1, 1])

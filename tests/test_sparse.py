@@ -45,6 +45,27 @@ def test_from_coo_sums_duplicates():
     assert s.to_dense()[1, 0] == 4.0
 
 
+def test_from_coo_matches_np_unique_and_dense_oracle():
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        n_rows, n_cols = (int(v) for v in rng.integers(1, 9, size=2))
+        size = int(rng.integers(0, 40))  # up to 40 draws into at most 64 cells: duplicates
+        rows, cols = rng.integers(0, n_rows, size), rng.integers(0, n_cols, size)
+        vals = rng.choice(SIGNED_VALUES, size=size)
+        s = SparseMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
+        keys = rows * n_cols + cols
+        order = np.argsort(keys, kind="stable")
+        uniq, start = np.unique(keys[order], return_index=True)
+        want = np.add.reduceat(vals[order], start) if size else np.zeros(0)
+        assert s._keys().tolist() == uniq.tolist()
+        assert s.values.tobytes() == want.tobytes()
+        halves = rng.integers(-4, 5, size) / 2.0  # sums exact in any order
+        dense = np.zeros((n_rows, n_cols))
+        np.add.at(dense, (rows, cols), halves)
+        got = SparseMatrix.from_coo(n_rows, n_cols, rows, cols, halves)
+        assert np.array_equal(got.to_dense(), dense)
+
+
 def test_from_edges_collapses_duplicates():
     s = SparseMatrix.from_edges(3, [0, 0, 2], [1, 1, 0])
     assert s.nnz == 2
@@ -399,7 +420,7 @@ def assert_matches_reference(a, b):
 
 
 @pytest.mark.parametrize("max_products", [
-    1 << 20,  # the shipped budget
+    1 << 20,  # above the shipped budget: one block holds every row
     25,       # a few rows per block, split mid-matrix
     9,
     1,        # one row per block
@@ -445,6 +466,25 @@ def test_spgemm_hub_row_exceeding_product_budget(monkeypatch):
     assert spgemm(a, b, "pattern").row(5).tolist() == list(range(8))
 
 
+def test_spgemm_peak_memory_stays_near_its_output():
+    # A·A of a 10k-node graph of out-degree 10: about 1M products, 1M entries. Each row
+    # block's columns are written into the output as it finishes, so the peak is the
+    # output plus one block's temporaries (the whole product's int64 keys were 12.5x)
+    rng = np.random.default_rng(26)
+    n = 10_000
+    src = np.repeat(np.arange(n), rng.poisson(10, size=n))
+    a = SparseMatrix.from_edges(n, src, rng.integers(0, n, size=len(src)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        prod = spgemm(a, a, "pattern")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prod.nnz > 900_000
+    assert peak < 4 * (prod.row_offsets.nbytes + prod.col_indices.nbytes)
+
+
 def test_spgemm_keeps_cancelled_entry_in_support():
     a = SparseMatrix.from_coo(2, 2, [0, 0, 1], [0, 1, 1], [1.0, 1.0, 2.0])
     b = SparseMatrix.from_coo(2, 2, [0, 1, 1], [0, 0, 1], [1.0, -1.0, 3.0])
@@ -454,6 +494,81 @@ def test_spgemm_keeps_cancelled_entry_in_support():
     assert not np.signbit(prod.values[0])
     assert spgemm(a, b, "pattern") == prod.pattern()
     assert_matches_reference(a, b)
+
+
+def squeeze(*mats):
+    """The matrices restricted to the rows and the columns where any of them has an entry,
+    renumbered in order, so that a dense or row-loop reference can run on them: sums and
+    products keep their entries, and each entry its terms in the same order."""
+    coords = [(np.repeat(np.arange(s.n_rows), np.diff(s.row_offsets)), s.col_indices)
+              for s in mats]
+    rows, cols = (np.unique(np.concatenate(ids)) for ids in zip(*coords))
+    return [SparseMatrix.from_coo(len(rows), len(cols), np.searchsorted(rows, r),
+                                  np.searchsorted(cols, c), s.values)
+            for s, (r, c) in zip(mats, coords)]
+
+
+def test_spgemm_at_the_int32_key_limit():
+    # with 2**31 - 1 columns a block holds one row; and a product with 0 columns
+    rng = np.random.default_rng(24)
+    n = 2**31 - 1
+    wide = SparseMatrix.from_coo(6, n, np.repeat(np.arange(6), 6),
+                                 np.tile([0, 1, 5, n // 2, n - 2, n - 1], 6),
+                                 rng.choice(SIGNED_VALUES, size=36))
+    for a, b in ((random_signed(rng, 5, 6, 0.5), wide),
+                 (random_signed(rng, 4, 3, 0.6), SparseMatrix.empty(3, 0))):
+        b_cols = np.unique(b.col_indices)
+        small_b = squeeze(b)[0] if b.nnz else b
+
+        def squeezed(got):  # the product's columns are b's, so they squeeze with b's
+            return SparseMatrix(got.n_rows, small_b.n_cols, got.row_offsets,
+                                np.searchsorted(b_cols, got.col_indices), got.values)
+
+        for semiring in ("counted", "pattern"):
+            got = spgemm(a, b, semiring)
+            want = reference_spgemm(a, small_b, semiring)
+            assert got.shape == (a.n_rows, b.n_cols) and squeezed(got) == want
+            assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
+        # halves: every sum is exact in any order, so BLAS is a bit-exact dense reference
+        a, b = (SparseMatrix(s.n_rows, s.n_cols, s.row_offsets, s.col_indices,
+                             rng.integers(-4, 5, s.nnz) / 2.0) for s in (a, b))
+        small_b = squeeze(b)[0] if b.nnz else b
+        assert np.array_equal(squeezed(spgemm(a, b)).to_dense(),
+                              a.to_dense() @ small_b.to_dense())
+
+
+def test_weighted_sum_at_the_int32_key_limit():
+    # with 2**31 - 1 columns a block holds one row; and sums with 0 columns
+    rng = np.random.default_rng(25)
+    k = 2**31 - 1
+    wide = (SparseMatrix.from_coo(4, k, [0, 0, 1, 2, 2, 2, 3], [k - 1, 3, 0, k - 1, 7, 0, 5],
+                                  rng.choice(SIGNED_VALUES, size=7)),
+            SparseMatrix.from_coo(4, k, [0, 1, 1, 3, 3], [5, 0, k - 1, k // 2, k - 2],
+                                  rng.choice(SIGNED_VALUES, size=5)))
+    for m, n in (wide, (SparseMatrix.empty(3, 0), SparseMatrix.empty(3, 0))):
+        got = weighted_sum(m, n, 1.5, -0.25)
+        assert got.shape == m.shape
+        small_m, small_n, small = squeeze(m, n, got)
+        want = 1.5 * small_m.to_dense() + -0.25 * small_n.to_dense()
+        assert np.array_equal(small.to_dense(), want)
+        assert got.pattern() == pattern_union(m, n)
+    # normalizing needs a square matrix, and one with 2**31 - 1 rows needs 16 GB of row
+    # offsets; with 2**16 columns a block holds at most 32767 of its 65536 rows
+    k = 2**16
+    m = SparseMatrix.from_edges(k, [0, 0, 32766, 32767, 40000, k - 1],
+                                [k - 1, 9, k - 1, 2, 9, k - 1])
+    n = SparseMatrix.from_edges(k, [0, 32767, 32767, k - 2, k - 1], [k - 1, 2, 40000, 0, 3])
+    for m, n in ((m, n), (SparseMatrix.empty(0, 0), SparseMatrix.empty(0, 0))):
+        got = weighted_sum(m, n, 0.75, 2.0, normalize=True)
+        assert got == weighted_sum(sym_normalize(m), sym_normalize(n), 0.75, 2.0)
+        small_m, small_n, small = squeeze(m, n, got)
+        dense = []
+        for d in (small_m.to_dense(), small_n.to_dense()):
+            with np.errstate(divide="ignore"):
+                r_inv, c_inv = (np.where(t > 0, 1.0 / np.sqrt(t), 0.0)
+                                for t in (d.sum(axis=1), d.sum(axis=0)))
+            dense.append(d * r_inv[:, None] * c_inv[None, :])
+        assert np.array_equal(small.to_dense(), 0.75 * dense[0] + 2.0 * dense[1])
 
 
 # -- pattern set algebra ------------------------------------------------------
