@@ -53,10 +53,18 @@ ACCURACY_KEYS = ("best_val_acc", "test_acc_at_best_val", "epochs_run")
 
 
 def _state_digest(model):
+    """SHA-256 of each parameter, then each batchnorm layer's running mean and variance.
+
+    A layer holds its statistics as rows of one (2, width) array ``bn_stats``; trees
+    from before that layout hold them in a ``bn_state`` object. Both hash the same arrays
+    in the same order, so two trees of either layout can be compared."""
     digest = hashlib.sha256()
     arrays = [p.data for p in model.params()]
-    for state in model.bn_states():
-        arrays += [state.running_mean, state.running_var]
+    for layer in model.layers:
+        if getattr(layer, "bn_stats", None) is not None:
+            arrays += list(layer.bn_stats)
+        elif getattr(layer, "bn_state", None) is not None:
+            arrays += [layer.bn_state.running_mean, layer.bn_state.running_var]
     for arr in arrays:
         digest.update(repr(arr.shape).encode())
         digest.update(arr.tobytes())

@@ -10,7 +10,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -278,39 +278,28 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool = True
     return make_node(a.data * factor, (a,), backward)
 
 
-@dataclass
-class BatchNormState:
-    """Running statistics for one normalization site."""
-
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
-
-    @staticmethod
-    def for_width(width):
-        return BatchNormState(np.zeros(width), np.ones(width))
-
-    def copy(self):
-        return BatchNormState(self.running_mean.copy(), self.running_var.copy(),
-                              self.momentum, self.eps)
+# batchnorm's running-statistics momentum and variance epsilon
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 
-def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
+def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, stats: np.ndarray,
               training: bool = True) -> Tensor:
     """Column-wise batch normalization with affine parameters.
 
-    Training mode normalizes with batch statistics and refreshes the running
-    ones; eval mode uses the running statistics and is a per-column affine map.
+    ``stats`` is a (2, width) array of running means and variances. Training
+    mode normalizes with batch statistics and moves ``stats`` toward them by
+    ``BN_MOMENTUM`` in place. It never rebinds the array, so a view (each
+    layer's ``bn_stats`` is a view of ``Model.state``) is updated where it
+    lives. Eval mode uses ``stats`` and is a per-column affine map.
     """
     if training:
-        mean = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
-        state.running_mean = (1 - state.momentum) * state.running_mean + state.momentum * mean
-        state.running_var = (1 - state.momentum) * state.running_var + state.momentum * var
+        mean, var = batch = np.stack([x.data.mean(axis=0), x.data.var(axis=0)])
+        stats *= 1 - BN_MOMENTUM
+        stats += BN_MOMENTUM * batch
     else:
-        mean, var = state.running_mean, state.running_var
-    inv_std = 1.0 / np.sqrt(var + state.eps)
+        mean, var = stats
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     x_hat = (x.data - mean) * inv_std
     out_data = x_hat * gamma.data + beta.data
 
@@ -412,40 +401,42 @@ def backward(loss: Tensor):
 # -- optimizer --------------------------------------------------------------------
 
 
+# Adam's moment decay rates and denominator epsilon
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moments plus step counter; moments are lazily shaped to the params."""
+    """Adam moments plus step counter; the moments are shaped to the parameters on
+    the first step."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
-    first_moment: list = field(default_factory=list)
-    second_moment: list = field(default_factory=list)
+    first_moment: np.ndarray | None = None
+    second_moment: np.ndarray | None = None
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
 
 
-def adam_step(params, grads, state: AdamState):
-    """One Adam update with bias correction; mutates params and state in place."""
-    if not state.first_moment:
-        state.first_moment = [np.zeros_like(p.data) for p in params]
-        state.second_moment = [np.zeros_like(p.data) for p in params]
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState):
+    """One Adam update with bias correction; mutates ``param`` and ``state`` in place."""
+    if state.first_moment is None:
+        state.first_moment = np.zeros_like(param)
+        state.second_moment = np.zeros_like(param)
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        if g is None:
-            continue
-        m *= state.beta1
-        m += (1 - state.beta1) * g
-        v *= state.beta2
-        v += (1 - state.beta2) * g * g
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    m, v = state.first_moment, state.second_moment
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * grad * grad
+    param -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return state
 
 

@@ -57,12 +57,16 @@ def derive_seed(base_seed, *parts) -> int:
     return int.from_bytes(digest[:8], "big") % (2**63)
 
 
-def accuracy(model, graph: DirectedGraph, idx) -> float:
-    idx = np.asarray(idx, dtype=np.int64)
+def _hit_rate(logits, labels, idx) -> float:
+    """Share of the nodes ``idx`` whose largest logit is their label; 0.0 for no nodes."""
     if len(idx) == 0:
         return 0.0
-    logits = model.forward(graph.features, training=False).data
-    return np.count_nonzero(np.argmax(logits[idx], axis=1) == graph.labels[idx]) / len(idx)
+    return np.count_nonzero(np.argmax(logits[idx], axis=1) == labels[idx]) / len(idx)
+
+
+def accuracy(model, graph: DirectedGraph, idx) -> float:
+    idx = np.asarray(idx, dtype=np.int64)
+    return _hit_rate(model.forward(graph.features, training=False).data, graph.labels, idx)
 
 
 def train(model, graph: DirectedGraph, split, train_cfg: TrainConfig | None = None,
@@ -90,29 +94,24 @@ def train(model, graph: DirectedGraph, split, train_cfg: TrainConfig | None = No
     history = []
     es_wait = 0
     lr_wait = 0
-    epochs_run = 0
     logits = None
     for _ in range(tc.max_epochs):
-        epochs_run += 1
         for p in params:
             p.grad = None
         if logits is None:
             logits = model.forward(graph.features, training=True, rng=rng)
         loss = softmax_cross_entropy(logits, graph.labels, split.train)
         backward(loss)
-        adam_step([model.vector], [np.concatenate([p.grad.ravel() for p in params])], state)
+        adam_step(model.vector, np.concatenate([p.grad.ravel() for p in params]), state)
 
         scored = model.forward(graph.features, training=fused, rng=rng)
         logits = scored if fused else None
-        preds = np.argmax(scored.data, axis=1)
-        val_acc = np.count_nonzero(preds[split.val] == graph.labels[split.val]) / len(split.val)
+        val_acc = _hit_rate(scored.data, graph.labels, split.val)
         history.append((float(loss.data), val_acc))
         if val_acc > best_val:
             best_val = val_acc
             best_snap = model.snapshot()
-            if len(split.test):
-                best_test = (np.count_nonzero(preds[split.test] == graph.labels[split.test])
-                             / len(split.test))
+            best_test = _hit_rate(scored.data, graph.labels, split.test)
             es_wait = 0
             lr_wait = 0
         else:
@@ -124,7 +123,7 @@ def train(model, graph: DirectedGraph, split, train_cfg: TrainConfig | None = No
             if es_wait > tc.es_patience:
                 break
     model.restore(best_snap)
-    return TrainResult(best_val, best_test, epochs_run, history, seed, state.lr)
+    return TrainResult(best_val, best_test, len(history), history, seed, state.lr)
 
 
 # -- cross-validation ---------------------------------------------------------------
@@ -295,13 +294,15 @@ _JK_TO_COMBS = {"max": ("jk_max", "jk_max"), "cat": ("jk_cat", "jk_cat"),
 def default_grid_space(base: ModelConfig | None = None):
     """The full tuning grid, varying the first direction parameter only.
 
-    A non-scalenet base keeps ``comb1`` at ``add``, the only value it accepts.
+    A non-scalenet base keeps ``comb1`` at ``add``, the only value it accepts,
+    and its own ``alpha``, which its family ignores.
     """
     base = base or ModelConfig()
     space = []
+    directions = GRID_DIRECTION if base.family == "scalenet" else (base.alpha,)
     for layers, lr, drop, bn, relu_on, jk, selfloop, alpha in product(
             GRID_LAYERS, GRID_LR, GRID_DROPOUT, GRID_BN, GRID_RELU,
-            GRID_JK, GRID_SELFLOOP, GRID_DIRECTION):
+            GRID_JK, GRID_SELFLOOP, directions):
         comb1, comb2 = _JK_TO_COMBS[jk]
         if base.family != "scalenet":
             comb1 = "add"

@@ -40,7 +40,6 @@ import numpy as np
 
 from scalegraph import scales
 from scalegraph.autodiff import (
-    BatchNormState,
     Tensor,
     add,
     add_bias,
@@ -295,11 +294,11 @@ class Layer:
             self.proj = Tensor(glorot_uniform(len(self.channels) * cfg.hidden, cfg.hidden, rng),
                                requires_grad=True)
         self.bias = Tensor(np.zeros((1, cfg.hidden)), requires_grad=True)
-        self.bn_gamma = self.bn_beta = self.bn_state = None
+        self.bn_gamma = self.bn_beta = self.bn_stats = None
         if cfg.use_bn:
             self.bn_gamma = Tensor(np.ones((1, cfg.hidden)), requires_grad=True)
             self.bn_beta = Tensor(np.zeros((1, cfg.hidden)), requires_grad=True)
-            self.bn_state = BatchNormState.for_width(cfg.hidden)
+            self.bn_stats = np.stack([np.zeros(cfg.hidden), np.ones(cfg.hidden)])
 
     def __call__(self, x, training, rng, inputs=None):
         if inputs is None:
@@ -309,7 +308,7 @@ class Layer:
             outs = [matmul(p, w) for p, w in zip(inputs, self.weights)]
         h = add_bias(fuse(outs, self.fusion, self.proj), self.bias)
         if self.cfg.use_bn:
-            h = batchnorm(h, self.bn_gamma, self.bn_beta, self.bn_state, training)
+            h = batchnorm(h, self.bn_gamma, self.bn_beta, self.bn_stats, training)
         if self.cfg.use_relu:
             h = relu(h)
         if self.cfg.dropout > 0.0 and training:
@@ -322,9 +321,6 @@ class Layer:
         return [p for p in (*self.weights, self.proj, self.bias, self.bn_gamma, self.bn_beta)
                 if p is not None]
 
-    def states(self):
-        return [self.bn_state] if self.bn_state is not None else []
-
 
 class Model:
     """Stacked layers, cross-layer fusion, and a linear classifier head.
@@ -336,10 +332,13 @@ class Model:
     takes the sparse path in layer 1 and gives the same logits up to rounding,
     since (S X) W and S (X W) sum their products in different orders.
 
-    Once every weight is drawn, the parameters are packed into one float64
-    ``vector`` (in ``params()`` order), and each parameter's ``data`` is a view
-    of it: one Adam update and one copy per snapshot or restore serve them all.
-    Nothing may rebind a parameter's ``data`` afterwards; write into it instead.
+    Once every weight is drawn, the model's whole state is packed into one
+    float64 array ``state``: the parameters in ``params()`` order, then each
+    batchnorm layer's (2, width) running statistics. Each parameter's ``data``
+    and each layer's ``bn_stats`` is a view of it, and ``vector`` is its
+    parameter part: one Adam update serves every parameter, and a snapshot or
+    restore is one copy. Nothing may rebind a parameter's ``data`` or a layer's
+    ``bn_stats`` afterwards; write into them instead.
     """
 
     def __init__(self, cfg: ModelConfig, layers, n_classes, rng, features):
@@ -349,10 +348,16 @@ class Model:
         self.head_weight = Tensor(glorot_uniform(head_in, n_classes, rng), requires_grad=True)
         self.head_bias = Tensor(np.zeros((1, n_classes)), requires_grad=True)
         params = self.params()
-        self.vector = Tensor(np.concatenate([p.data.ravel() for p in params]))
-        ends = np.cumsum([p.data.size for p in params])
-        for p, end in zip(params, ends):
-            p.data = self.vector.data[end - p.data.size:end].reshape(p.data.shape)
+        bn_layers = [layer for layer in layers if layer.bn_stats is not None]
+        arrays = [p.data for p in params] + [layer.bn_stats for layer in bn_layers]
+        self.state = np.concatenate([a.ravel() for a in arrays])
+        ends = np.cumsum([a.size for a in arrays])
+        views = [self.state[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
+        for p, view in zip(params, views):
+            p.data = view
+        for layer, view in zip(bn_layers, views[len(params):]):
+            layer.bn_stats = view
+        self.vector = self.state[:sum(p.data.size for p in params)]
         self.features = features
         self.inputs = [propagate(channel, Tensor(features)) for channel in layers[0].channels]
 
@@ -373,21 +378,11 @@ class Model:
         out.extend([self.head_weight, self.head_bias])
         return out
 
-    def bn_states(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.states())
-        return out
-
     def snapshot(self):
-        return self.vector.data.copy(), [s.copy() for s in self.bn_states()]
+        return self.state.copy()
 
     def restore(self, snap):
-        vector, states = snap
-        self.vector.data[:] = vector
-        for live, saved in zip(self.bn_states(), states):
-            live.running_mean = saved.running_mean.copy()
-            live.running_var = saved.running_var.copy()
+        self.state[:] = snap
 
 
 # -- family wiring -----------------------------------------------------------------

@@ -12,8 +12,9 @@ import pytest
 
 from scalegraph import autodiff
 from scalegraph.autodiff import (
+    BN_EPS,
+    BN_MOMENTUM,
     AdamState,
-    BatchNormState,
     Tensor,
     adam_step,
     add,
@@ -512,11 +513,11 @@ def test_fd_batchnorm_training_and_eval():
     beta = rand_tensor(rng, (1, 3))
     # a fixed random weighting keeps the loss sensitive to every input entry
     probe = Tensor(rng.normal(size=(7, 3)))
-    state = BatchNormState.for_width(3)
-    fd(lambda: sum_all(mul(batchnorm(x, gamma, beta, state, training=True), probe)),
+    stats = np.stack([np.zeros(3), np.ones(3)])
+    fd(lambda: sum_all(mul(batchnorm(x, gamma, beta, stats, training=True), probe)),
        [x, gamma, beta])
-    state_eval = BatchNormState(rng.normal(size=3), 1.0 + rng.random(3))
-    fd(lambda: sum_all(mul(batchnorm(x, gamma, beta, state_eval, training=False), probe)),
+    stats_eval = np.stack([rng.normal(size=3), 1.0 + rng.random(3)])
+    fd(lambda: sum_all(mul(batchnorm(x, gamma, beta, stats_eval, training=False), probe)),
        [x, gamma, beta])
 
 
@@ -542,17 +543,34 @@ def test_batchnorm_training_normalizes_columns():
     x = Tensor(5.0 + 3.0 * rng.normal(size=(200, 4)))
     gamma = Tensor(np.ones((1, 4)))
     beta = Tensor(np.zeros((1, 4)))
-    out = batchnorm(x, gamma, beta, BatchNormState.for_width(4), training=True)
+    out = batchnorm(x, gamma, beta, np.stack([np.zeros(4), np.ones(4)]), training=True)
     assert np.allclose(out.data.mean(axis=0), 0.0, atol=1e-9)
     assert np.allclose(out.data.std(axis=0), 1.0, atol=1e-3)
 
 
 def test_batchnorm_eval_uses_running_stats():
     x = Tensor(np.ones((3, 2)))
-    state = BatchNormState(np.array([1.0, 0.0]), np.array([1.0, 4.0]))
-    out = batchnorm(x, Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2))), state, training=False)
-    expect = np.stack([np.zeros(3), np.full(3, 1.0 / np.sqrt(4 + state.eps))], axis=1)
+    stats = np.array([[1.0, 0.0], [1.0, 4.0]])
+    out = batchnorm(x, Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2))), stats, training=False)
+    expect = np.stack([np.zeros(3), np.full(3, 1.0 / np.sqrt(4 + BN_EPS))], axis=1)
     assert np.allclose(out.data, expect)
+    assert np.array_equal(stats, [[1.0, 0.0], [1.0, 4.0]])  # eval leaves the statistics
+
+
+def test_batchnorm_training_moves_the_given_statistics_in_place():
+    """Training mode writes ``0.9 * stats + 0.1 * batch`` into the array it is given, here
+    a view into a larger array as ``Model.state`` hands out, and nothing around it."""
+    rng = np.random.default_rng(13)
+    x = Tensor(2.0 + rng.normal(size=(50, 3)))
+    state = np.zeros(10)
+    stats = state[2:8].reshape(2, 3)
+    stats[:] = [rng.normal(size=3), 1.0 + rng.random(3)]
+    batch = np.stack([x.data.mean(axis=0), x.data.var(axis=0)])
+    expect = 0.9 * stats + 0.1 * batch
+    batchnorm(x, Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 3))), stats, training=True)
+    assert BN_MOMENTUM == 0.1
+    assert np.array_equal(state[2:8].reshape(2, 3), expect)
+    assert not state[:2].any() and not state[8:].any()
 
 
 # -- dropout semantics ---------------------------------------------------------------
@@ -586,18 +604,18 @@ def test_dropout_rate_validation():
 
 
 def test_adam_first_step_magnitude():
-    p = Tensor(np.zeros((2, 3)), requires_grad=True)
+    p = np.zeros((2, 3))
     state = AdamState(lr=0.01)
-    adam_step([p], [np.ones((2, 3))], state)
-    assert np.allclose(p.data, -0.01 / (1.0 + 1e-8), atol=1e-12)
+    adam_step(p, np.ones((2, 3)), state)
+    assert np.allclose(p, -0.01 / (1.0 + 1e-8), atol=1e-12)
     assert state.step_count == 1
 
 
 def test_adam_zero_grad_keeps_params():
-    p = Tensor(np.full((2, 2), 3.0), requires_grad=True)
+    p = np.full((2, 2), 3.0)
     state = AdamState(lr=0.1)
-    adam_step([p], [np.zeros((2, 2))], state)
-    assert np.array_equal(p.data, np.full((2, 2), 3.0))
+    adam_step(p, np.zeros((2, 2)), state)
+    assert np.array_equal(p, np.full((2, 2), 3.0))
     assert state.step_count == 1
 
 
@@ -608,7 +626,7 @@ def test_adam_descends_quadratic():
         p.grad = None
         loss = sum_all(mul(p, p))
         backward(loss)
-        adam_step([p], [p.grad], state)
+        adam_step(p.data, p.grad, state)
     assert np.linalg.norm(p.data) < 0.1
 
 

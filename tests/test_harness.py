@@ -10,6 +10,7 @@ from scalegraph import models, scales, sparse
 from scalegraph.autodiff import AdamState, adam_step, backward, softmax_cross_entropy
 from scalegraph.graphdata import DirectedGraph, generate_dsbm, make_random_splits
 from scalegraph.harness import (
+    GRID_DIRECTION,
     ComparisonResult,
     TrainConfig,
     TrainResult,
@@ -105,7 +106,7 @@ def two_forward_train(model, graph, split, tc, seed):
         logits = model.forward(graph.features, training=True, rng=rng)
         loss = softmax_cross_entropy(logits, graph.labels, split.train)
         backward(loss)
-        adam_step(params, [p.grad for p in params], state)
+        adam_step(model.vector, np.concatenate([p.grad.ravel() for p in params]), state)
         preds = np.argmax(model.forward(graph.features, training=False).data, axis=1)
         val_acc = float(np.mean(preds[split.val] == graph.labels[split.val]))
         history.append((float(loss.data), val_acc))
@@ -294,7 +295,8 @@ def test_default_grid_space_size():
     space = default_grid_space()
     assert len(space) == 5 * 3 * 2 * 2 * 2 * 3 * 3 * 5
     others = default_grid_space(ModelConfig(family="one_ig"))
-    assert len(others) == len(space) and {c.comb1 for c in others} == {"add"}
+    assert len(others) == len(space) // len(GRID_DIRECTION)
+    assert {c.comb1 for c in others} == {"add"} and {c.alpha for c in others} == {0.5}
 
 
 def test_grid_search_singleton(toy):

@@ -426,9 +426,14 @@ def test_precomputed_layer_one_runs_no_sparse_product(small_graph, monkeypatch):
 
 
 def params_view_the_vector(model):
-    vector = model.vector.data
-    return (np.array_equal(np.concatenate([p.data.ravel() for p in model.params()]), vector)
-            and all(np.shares_memory(p.data, vector) for p in model.params()))
+    """Every parameter, then every batchnorm layer's statistics, is a view of ``state``,
+    in that order; ``vector`` is the parameter part."""
+    stats = [layer.bn_stats for layer in model.layers if layer.bn_stats is not None]
+    arrays = [p.data for p in model.params()] + stats
+    return (np.array_equal(np.concatenate([a.ravel() for a in arrays]), model.state)
+            and all(np.shares_memory(a, model.state) for a in arrays)
+            and np.shares_memory(model.vector, model.state)
+            and model.vector.size == sum(p.data.size for p in model.params()))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -438,6 +443,7 @@ def test_params_are_views_of_one_vector(small_graph, family):
                       **directions)
     model = build_model(cfg, small_graph, seed=2)
     assert params_view_the_vector(model)
+    assert len(model.state) == model.vector.size + 2 * 2 * cfg.hidden
     snap = model.snapshot()
     split = make_random_splits(small_graph, n_splits=1, seed=0)[0]
     harness.train(model, small_graph, split, harness.TrainConfig(max_epochs=3), seed=2)
@@ -447,13 +453,13 @@ def test_params_are_views_of_one_vector(small_graph, family):
 
 def test_snapshot_is_unchanged_by_a_later_step(small_graph):
     model = build_model(ModelConfig(alpha=0.5, hidden=6), small_graph, seed=4)
-    before = model.vector.data.copy()
+    before = model.vector.copy()
     snap = model.snapshot()
     split = make_random_splits(small_graph, n_splits=1, seed=0)[0]
     harness.train(model, small_graph, split, harness.TrainConfig(max_epochs=3), seed=4)
-    assert not np.array_equal(model.vector.data, before)  # train restored a stepped state
+    assert not np.array_equal(model.vector, before)  # train restored a stepped state
     model.restore(snap)
-    assert np.array_equal(model.vector.data, before)
+    assert np.array_equal(model.vector, before)
 
 
 def test_snapshot_restore_round_trip(small_graph):
@@ -463,7 +469,7 @@ def test_snapshot_restore_round_trip(small_graph):
     snap = model.snapshot()
     for p in model.params():
         p.data += 1.0
-    model.bn_states()[0].running_mean += 5.0
+    model.layers[0].bn_stats[0] += 5.0
     assert not np.allclose(model.forward(small_graph.features).data, before)
     model.restore(snap)
     assert np.array_equal(model.forward(small_graph.features).data, before)
