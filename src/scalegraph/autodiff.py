@@ -2,7 +2,10 @@
 
 The tape is the implicit DAG of ``Tensor`` nodes: every op records its parents
 and a backward closure, and ``backward`` replays them in reverse topological
-order. Ops are coarse (whole-matrix) which keeps the engine at a dozen kernels.
+order. It unlinks each node once its closure has run, so an intermediate
+nobody else holds is freed, data and gradient, while a tensor the caller holds
+keeps its ``.grad``. Ops are coarse (whole-matrix) which keeps the engine at a
+dozen kernels.
 Every op validates that its output is finite; NaN/Inf is always an error here.
 """
 
@@ -369,7 +372,11 @@ def sum_all(a: Tensor) -> Tensor:
 def backward(loss: Tensor):
     """Populate gradients of every requires_grad tensor reachable from ``loss``.
 
-    The recorded graph is consumed: a second backward on the same loss raises.
+    Each node is unlinked from its parents right after its backward closure
+    runs, so a node the caller does not hold is freed, data and gradient,
+    before the walk reaches the layers below it; a held tensor keeps its
+    ``.grad``. The recorded graph is consumed: a second backward on the same
+    loss raises.
     """
     if loss.data.ndim != 0:
         raise ValueError("backward expects a scalar loss")
@@ -390,10 +397,10 @@ def backward(loss: Tensor):
         for parent in node._parents:
             stack.append((parent, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
+    while order:  # every consumer of a node runs and unlinks before the node itself
+        node = order.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-    for node in order:
         node._parents = ()
         node._backward = None
 

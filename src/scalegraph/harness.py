@@ -79,7 +79,8 @@ def train(model, graph: DirectedGraph, split, train_cfg: TrainConfig | None = No
     mode and its recorded graph serves as the next epoch's training forward: a
     run costs ``epochs_run + 1`` forwards instead of ``2 * epochs_run``. With
     dropout or batchnorm the scoring forward runs in eval mode and every epoch
-    runs its own training forward.
+    runs its own training forward; such a run keeps only the scoring forward's
+    logits array, so that forward's graph is dropped once the epoch is scored.
     """
     tc = train_cfg or TrainConfig()
     if len(split.val) == 0:
@@ -104,14 +105,15 @@ def train(model, graph: DirectedGraph, split, train_cfg: TrainConfig | None = No
         backward(loss)
         adam_step(model.vector, np.concatenate([p.grad.ravel() for p in params]), state)
 
-        scored = model.forward(graph.features, training=fused, rng=rng)
-        logits = scored if fused else None
-        val_acc = _hit_rate(scored.data, graph.labels, split.val)
+        logits = model.forward(graph.features, training=fused, rng=rng)
+        scored = logits.data
+        logits = logits if fused else None  # no backward uses an eval graph
+        val_acc = _hit_rate(scored, graph.labels, split.val)
         history.append((float(loss.data), val_acc))
         if val_acc > best_val:
             best_val = val_acc
             best_snap = model.snapshot()
-            best_test = _hit_rate(scored.data, graph.labels, split.test)
+            best_test = _hit_rate(scored, graph.labels, split.test)
             es_wait = 0
             lr_wait = 0
         else:

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import signal
@@ -6,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -455,6 +457,36 @@ def test_backward_consumes_graph():
     backward(loss)
     with pytest.raises(ValueError):
         backward(loss)
+
+
+def test_backward_frees_each_unheld_node_before_reaching_its_parents():
+    gc.disable()
+    try:
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        h = matmul(x, w)
+        squared = mul(h, h)
+        rectified = relu(squared)
+        doubled = scale(rectified, 2.0)
+        loss = sum_all(doubled)
+        downstream = [weakref.ref(t.data) for t in (squared, rectified, doubled)]
+        del squared, rectified, doubled
+        alive_at_h = []
+        h_backward = h._backward
+
+        def spy(g):
+            alive_at_h.extend(ref() is not None for ref in downstream)
+            h_backward(g)
+        h._backward = spy
+        backward(loss)
+        assert alive_at_h == [False] * 3
+        assert np.array_equal(h.grad, 2.0 * (2.0 * h.data) * (h.data * h.data > 0))
+        assert x.grad is not None and w.grad is not None
+        with pytest.raises(ValueError):
+            backward(loss)
+    finally:
+        gc.enable()
 
 
 def test_maximum_routes_ties_to_first():

@@ -1,3 +1,4 @@
+import gc
 import math
 import weakref
 
@@ -158,6 +159,31 @@ def test_dropout_or_batchnorm_keeps_a_separate_eval_forward(toy, forward_modes, 
     g, splits = toy
     result = train(build_model(toy_cfg(**kw), g, seed=4), g, splits[0], FAST, seed=4)
     assert forward_modes == [True, False] * result.epochs_run
+
+
+@pytest.mark.parametrize("kw", [{"dropout": 0.5}, {"use_bn": True}])
+def test_an_eval_forward_graph_is_freed_before_the_next_training_forward(
+        toy, monkeypatch, kw):
+    g, splits = toy
+    eval_inner = []  # a weakref to an inner node's data of each eval-mode output
+    training_calls = []
+    forward = Model.forward
+
+    def watched(model, features, training=False, rng=None):
+        if training:
+            training_calls.append(all(ref() is None for ref in eval_inner))
+        out = forward(model, features, training, rng)
+        if not training:
+            eval_inner.append(weakref.ref(out._parents[0].data))
+        return out
+    monkeypatch.setattr(Model, "forward", watched)
+    gc.disable()
+    try:
+        result = train(build_model(toy_cfg(**kw), g, seed=4), g, splits[0], FAST, seed=4)
+    finally:
+        gc.enable()
+    assert len(training_calls) == result.epochs_run > 1
+    assert all(training_calls)
 
 
 def test_train_config_caps_epoch_budget():
