@@ -10,15 +10,12 @@ __version__ = "0.1.0"
 
 from scalegraph.sparse import SparseMatrix
 from scalegraph.graphdata import DirectedGraph, SplitSet
-from scalegraph.scales import ScaleSpec, ScaledGraph
 from scalegraph.models import ModelConfig
 
 __all__ = [
     "SparseMatrix",
     "DirectedGraph",
     "SplitSet",
-    "ScaleSpec",
-    "ScaledGraph",
     "ModelConfig",
     "__version__",
 ]

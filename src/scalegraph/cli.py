@@ -35,7 +35,7 @@ from scalegraph.harness import (
     wilcoxon_signed_rank,
 )
 from scalegraph.models import ModelConfig, build_model
-from scalegraph.scales import SELFLOOP_MODES, ScaleSpec, build_scaled_adjacency
+from scalegraph.scales import SELFLOOP_MODES, build_scaled_adjacency
 from scalegraph.sparse import format_coordinate_text
 
 # a field's flag is ``--`` plus its name with dashes, except these; manifests store the flags
@@ -174,9 +174,7 @@ def _cmd_scale(args, argv):
         adjacency = read_edge_list(args.edges)
     else:
         raise _UsageExit("scale needs --edges or --data-dir")
-    spec = ScaleSpec(args.word, args.selfloops)
-    built = build_scaled_adjacency(adjacency, spec)
-    text = format_coordinate_text(built.matrix)
+    text = format_coordinate_text(build_scaled_adjacency(adjacency, args.word, args.selfloops))
     if args.out:
         (out / args.out).write_text(text)
     sys.stdout.write(text)

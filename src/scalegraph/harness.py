@@ -21,21 +21,22 @@ from scalegraph.scales import SELFLOOP_MODES, remove_shared_edges
 from scalegraph.sparse import SparseMatrix, sym_normalize
 
 
+# the plateau scheduler's LR multiplier and the LR it never cuts below
+LR_FACTOR = 0.5
+MIN_LR = 1e-5
+
+
 @dataclass
 class TrainConfig:
     max_epochs: int = 1500
     es_patience: int = 410
     lr_patience: int = 80
-    lr_factor: float = 0.5
-    min_lr: float = 1e-5
 
     def __post_init__(self):
         if not 1 <= self.max_epochs <= 1500:
             raise ValueError("max_epochs must be in 1..1500")
         if self.es_patience < 0 or self.lr_patience < 0:
             raise ValueError("patiences must be non-negative")
-        if not 0.0 < self.lr_factor <= 1.0 or self.min_lr <= 0:
-            raise ValueError("need 0 < lr_factor <= 1 and min_lr > 0")
 
 
 @dataclass
@@ -119,8 +120,8 @@ def train(model, graph: DirectedGraph, split, train_cfg: TrainConfig | None = No
         else:
             es_wait += 1
             lr_wait += 1
-            if lr_wait > tc.lr_patience and state.lr > tc.min_lr:
-                state.lr = max(state.lr * tc.lr_factor, tc.min_lr)
+            if lr_wait > tc.lr_patience and state.lr > MIN_LR:
+                state.lr = max(state.lr * LR_FACTOR, MIN_LR)
                 lr_wait = 0
             if es_wait > tc.es_patience:
                 break

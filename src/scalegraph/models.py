@@ -58,12 +58,10 @@ from scalegraph.scales import proximity_matrix
 from scalegraph.sparse import (
     SparseMatrix,
     add_self_loops,
-    apply_selfloop_mode,
     link_transposes,
     pattern_intersection,
     pattern_union,
     sym_normalize,
-    transpose,
     weighted_sum,
 )
 
@@ -197,12 +195,12 @@ def agg_b(alpha: float, m: SparseMatrix, n: SparseMatrix, x: Tensor, weight: Ten
 
 class MatrixPlan:
     """The words of ``scales.MODEL_WORDS`` over one adjacency, each pattern and its
-    ``sym_normalize`` built on first request, the second-scale words by one
-    ``scales.model_matrix_family`` call per self-loop mode. A normalized word is linked
-    (``link_transposes``) to that of its transpose, the word reversed with A and T swapped:
-    entry (i, j) of one and (j, i) of the other are both ``(1.0 * r_i) * c_j`` over the same
-    integer sums. Pair blends and proximity matrices are built once too. Layer-1 inputs are
-    not kept, as a plan lives for a whole grid."""
+    ``sym_normalize`` built on first request: A and T by ``scales.build_scaled_adjacency``,
+    the second-scale words by one ``scales.model_matrix_family`` call per self-loop mode. A
+    normalized word is linked (``link_transposes``) to that of its transpose, the word
+    reversed with A and T swapped: entry (i, j) of one and (j, i) of the other are both
+    ``(1.0 * r_i) * c_j`` over the same integer sums. Pair blends and proximity matrices are
+    built once too. Layer-1 inputs are not kept, as a plan lives for a whole grid."""
 
     def __init__(self, adj: SparseMatrix):
         self.adj = adj.pattern()
@@ -213,9 +211,8 @@ class MatrixPlan:
 
     def word(self, word, mode):
         if (word, mode) not in self._words:
-            if word in ("A", "T"):
-                base = self.adj if word == "A" else transpose(self.adj)
-                self._words[word, mode] = apply_selfloop_mode(base, mode)
+            if len(word) == 1:
+                self._words[word, mode] = scales.build_scaled_adjacency(self.adj, word, mode)
             else:
                 family = scales.model_matrix_family(self.adj, "keep", mode)
                 self._words.update(((w, mode), family[w]) for w in scales.MODEL_WORDS[2:])

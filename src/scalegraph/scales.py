@@ -3,14 +3,16 @@
 A scale word is a string over {A, T}: A contributes the adjacency as a factor,
 T its transpose, and the word is evaluated as a left-to-right pattern product.
 Word length = scale, so "A" and "T" are the two first-scale graphs and "AT",
-"TA", "AA", "TT" the four second-scale ones.
+"TA", "AA", "TT" the four second-scale ones. A self-loop mode then adds, removes
+or keeps the product's diagonal. Every builder here takes T from the transpose
+kept on the adjacency, so one adjacency is sorted once.
 """
 
-from dataclasses import dataclass
+from functools import reduce
 
 from scalegraph.sparse import (
     SparseMatrix,
-    apply_selfloop_mode,
+    add_self_loops,
     pattern_difference,
     pattern_intersection,
     pattern_union,
@@ -19,7 +21,9 @@ from scalegraph.sparse import (
     transpose,
 )
 
-SELFLOOP_MODES = ("add", "remove", "keep")
+# self-loop mode -> its op on a built word; the mode names are this table's keys
+_SELFLOOP_OPS = {"add": add_self_loops, "remove": remove_self_loops, "keep": lambda s: s}
+SELFLOOP_MODES = tuple(_SELFLOOP_OPS)
 # generated self-loops of a second-scale product are kept or removed, never added
 SECOND_SCALE_SELFLOOP_MODES = ("keep", "remove")
 
@@ -27,51 +31,30 @@ SECOND_SCALE_SELFLOOP_MODES = ("keep", "remove")
 MODEL_WORDS = ("A", "T", "AT", "TA", "AA", "TT")
 
 
-@dataclass(frozen=True)
-class ScaleSpec:
-    """A scale word plus the self-loop treatment applied to the result."""
-
-    word: str
-    selfloop_mode: str = "keep"
-
-    def __post_init__(self):
-        if not self.word:
-            raise ValueError("scale word must be non-empty")
-        if any(ch not in "AT" for ch in self.word):
-            raise ValueError(f"scale word must be over {{A, T}}, got {self.word!r}")
-        if self.selfloop_mode not in SELFLOOP_MODES:
-            raise ValueError(f"unknown selfloop mode {self.selfloop_mode!r}")
-
-    @property
-    def scale(self):
-        return len(self.word)
+def apply_selfloop_mode(s: SparseMatrix, mode: str) -> SparseMatrix:
+    """``s`` with a unit diagonal ("add"), without a diagonal ("remove") or as it is ("keep")."""
+    if mode not in _SELFLOOP_OPS:
+        raise ValueError(f"selfloop mode must be one of {SELFLOOP_MODES}, got {mode!r}")
+    return _SELFLOOP_OPS[mode](s)
 
 
-@dataclass(frozen=True)
-class ScaledGraph:
-    """A built scaled adjacency: its spec and pattern matrix."""
-
-    spec: ScaleSpec
-    matrix: SparseMatrix
-
-
-def build_scaled_adjacency(adj: SparseMatrix, spec: ScaleSpec) -> ScaledGraph:
-    """Left-to-right pattern product of A/T factors, then the self-loop mode."""
+def build_scaled_adjacency(adj: SparseMatrix, word: str, selfloop_mode: str = "keep") -> SparseMatrix:
+    """Left-to-right pattern product of ``word``'s A/T factors, then the self-loop mode."""
+    if not word:
+        raise ValueError("scale word must be non-empty")
+    if word.strip("AT"):
+        raise ValueError(f"scale word must be over {{A, T}}, got {word!r}")
     if not adj.is_square():
         raise ValueError("adjacency must be square")
-    a = adj.pattern()
-    at = transpose(a) if "T" in spec.word else None
-    result = apply_selfloop_mode(_word_product(a, at, spec.word), spec.selfloop_mode)
-    return ScaledGraph(spec=spec, matrix=result)
+    at = transpose(adj).pattern() if "T" in word else None
+    return _scaled_word(adj.pattern(), at, word, selfloop_mode)
 
 
-def _word_product(a: SparseMatrix, at: SparseMatrix | None, word: str) -> SparseMatrix:
-    """Left-to-right pattern product of ``word``, with ``a`` for A and ``at`` for T."""
-    result = None
-    for ch in word:
-        factor = at if ch == "T" else a
-        result = factor if result is None else spgemm(result, factor, "pattern")
-    return result
+def _scaled_word(a: SparseMatrix, at: SparseMatrix | None, word: str, mode: str) -> SparseMatrix:
+    """Left-to-right pattern product of ``word``, with ``a`` for A and ``at`` for T, then
+    self-loop ``mode``."""
+    factors = (at if ch == "T" else a for ch in word)
+    return apply_selfloop_mode(reduce(lambda x, y: spgemm(x, y, "pattern"), factors), mode)
 
 
 def meeting_matrix(adj: SparseMatrix, k: int, prune_generated_selfloops: bool = True) -> SparseMatrix:
@@ -138,9 +121,6 @@ def model_matrix_family(adj: SparseMatrix, selfloop_mode: str = "keep",
         raise ValueError("adjacency must be square")
     a = adj.pattern()
     at = transpose(adj).pattern()  # one sort of A, kept on ``adj``, serves T, AT, TA and TT
-    out = {}
-    for word in MODEL_WORDS:
-        mode = selfloop_mode if len(word) == 1 else second_scale_selfloops
-        out[word] = apply_selfloop_mode(_word_product(a, at, word), mode)
-    return out
+    modes = {1: selfloop_mode, 2: second_scale_selfloops}  # by word length
+    return {word: _scaled_word(a, at, word, modes[len(word)]) for word in MODEL_WORDS}
 

@@ -547,16 +547,6 @@ def _block_terms(s, c, scale, r0, r1):
     return rows * np.int32(s.n_cols) + col, col, c * x
 
 
-def apply_selfloop_mode(s: SparseMatrix, mode: str) -> SparseMatrix:
-    if mode == "keep":
-        return s
-    if mode == "add":
-        return add_self_loops(s)
-    if mode == "remove":
-        return remove_self_loops(s)
-    raise ValueError(f"selfloop mode must be 'add', 'remove' or 'keep', got {mode!r}")
-
-
 # -- text formats ----------------------------------------------------------
 
 

@@ -106,6 +106,15 @@ def test_scale_selfloop_removal(tmp_path, capsys):
     assert "6 6 4" in stdout.splitlines()[1]
 
 
+@pytest.mark.parametrize("word, named", [("AB", "scale word must be over {A, T}, got 'AB'"),
+                                         ("", "scale word must be non-empty")])
+def test_scale_bad_word_is_a_usage_error(tmp_path, capsys, word, named):
+    rc, stdout, err = run(capsys, "scale", "--edges", str(DATA / "tree6_edges.tsv"),
+                          "--word", word, "--out-dir", str(tmp_path))
+    assert rc == 1 and f"usage error: {named}" in err, err
+    assert stdout == ""
+
+
 def test_scale_data_dir_sizes_the_matrix_by_the_node_count(tmp_path, capsys):
     ds = tmp_path / "ds"
     ds.mkdir()
@@ -416,8 +425,7 @@ MODEL_FLAGS = {"family": "--family", "alpha": "--alpha", "beta": "--beta", "gamm
                "second_scale_selfloops": "--second-scale-selfloops", "use_bn": "--use-bn",
                "use_relu": "--use-relu", "dropout": "--dropout", "lr": "--lr"}
 TRAIN_FLAGS = {"max_epochs": "--max-epochs", "es_patience": "--es-patience",
-               "lr_patience": "--lr-patience", "lr_factor": "--lr-factor",
-               "min_lr": "--min-lr"}
+               "lr_patience": "--lr-patience"}
 
 
 def subcommand(name):
@@ -446,8 +454,7 @@ EVERY_CONFIG_FLAG = ["--family", "scalenet", "--alpha", "1", "--beta", "0.5", "-
                      "--layers", "2", "--hidden", "6", "--comb1", "jk_max", "--comb2", "jk_cat",
                      "--selfloops", "add", "--second-scale-selfloops", "remove",
                      "--use-bn", "1", "--use-relu", "0", "--dropout", "0.25", "--lr", "0.05",
-                     "--max-epochs", "20", "--es-patience", "8", "--lr-patience", "2",
-                     "--lr-factor", "0.25", "--min-lr", "0.02"]
+                     "--max-epochs", "20", "--es-patience", "8", "--lr-patience", "2"]
 
 
 def test_train_with_every_config_flag_replays_and_matches_a_direct_run(tmp_path, capsys):
@@ -464,10 +471,9 @@ def test_train_with_every_config_flag_replays_and_matches_a_direct_run(tmp_path,
                       comb1="jk_max", comb2="jk_cat", selfloop_mode="add",
                       second_scale_selfloops="remove", use_bn=True, use_relu=False,
                       dropout=0.25, lr=0.05)
-    tc = TrainConfig(max_epochs=20, es_patience=8, lr_patience=2, lr_factor=0.25, min_lr=0.02)
+    tc = TrainConfig(max_epochs=20, es_patience=8, lr_patience=2)
     graph, splits = load_dataset(*(ds / name for name in DATASET_FILES))
     result = train(build_model(cfg, graph, seed=4), graph, splits[0], tc, seed=4)
-    assert result.final_lr == 0.02  # 0.05 * 0.25 is floored at min_lr: both flags count
     expected = {"config": asdict(cfg), "result": result.to_dict()}
     assert json.loads(stdout) == json.loads(json.dumps(expected))
     assert json.loads((out1 / "manifest.json").read_text())["config"] == asdict(cfg)

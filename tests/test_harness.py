@@ -12,6 +12,8 @@ from scalegraph.autodiff import AdamState, adam_step, backward, softmax_cross_en
 from scalegraph.graphdata import DirectedGraph, generate_dsbm, make_random_splits
 from scalegraph.harness import (
     GRID_DIRECTION,
+    LR_FACTOR,
+    MIN_LR,
     ComparisonResult,
     TrainConfig,
     TrainResult,
@@ -117,8 +119,8 @@ def two_forward_train(model, graph, split, tc, seed):
         else:
             es_wait += 1
             lr_wait += 1
-            if lr_wait > tc.lr_patience and state.lr > tc.min_lr:
-                state.lr = max(state.lr * tc.lr_factor, tc.min_lr)
+            if lr_wait > tc.lr_patience and state.lr > MIN_LR:
+                state.lr = max(state.lr * LR_FACTOR, MIN_LR)
                 lr_wait = 0
             if es_wait > tc.es_patience:
                 break
@@ -189,8 +191,6 @@ def test_an_eval_forward_graph_is_freed_before_the_next_training_forward(
 def test_train_config_caps_epoch_budget():
     with pytest.raises(ValueError, match="1..1500"):
         TrainConfig(max_epochs=2000)
-    with pytest.raises(ValueError):
-        TrainConfig(lr_factor=0.0)
 
 
 def test_train_requires_validation_set(toy):

@@ -25,11 +25,10 @@ from scalegraph.models import (
     prepare_direction_blocks,
     propagate,
 )
-from scalegraph.scales import model_matrix_family, proximity_matrix
+from scalegraph.scales import apply_selfloop_mode, model_matrix_family, proximity_matrix
 from scalegraph.sparse import (
     SparseMatrix,
     add_self_loops,
-    apply_selfloop_mode,
     pattern_intersection,
     pattern_union,
     sym_normalize,

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from scalegraph import scales
+from scalegraph import scales, sparse
 from scalegraph.scales import (
-    ScaleSpec,
+    MODEL_WORDS,
     build_scaled_adjacency,
     diffusion_matrix,
     meeting_matrix,
@@ -40,37 +40,45 @@ ALL_WORDS = [a for a in "AT"] + [a + b for a in "AT" for b in "AT"] + \
     [a + b + c for a in "AT" for b in "AT" for c in "AT"]
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        ScaleSpec("")
-    with pytest.raises(ValueError):
-        ScaleSpec("AB")
-    with pytest.raises(ValueError):
-        ScaleSpec("A", "sometimes")
-    assert ScaleSpec("ATT").scale == 3
+def test_build_rejects_bad_words_and_modes(tree6):
+    with pytest.raises(ValueError, match="non-empty"):
+        build_scaled_adjacency(tree6, "")
+    with pytest.raises(ValueError, match="'AB'"):
+        build_scaled_adjacency(tree6, "AB")
+    with pytest.raises(ValueError, match="'sometimes'"):
+        build_scaled_adjacency(tree6, "A", "sometimes")
 
 
 def test_identity_word_returns_adjacency(tree6):
-    built = build_scaled_adjacency(tree6, ScaleSpec("A"))
-    assert built.matrix == tree6.pattern()
+    assert build_scaled_adjacency(tree6, "A") == tree6.pattern()
 
 
 def test_word_at_matches_worked_example(tree6):
-    built = build_scaled_adjacency(tree6, ScaleSpec("AT"))
-    assert support(built.matrix) == {(0, 0), (0, 2), (2, 0), (2, 2),
-                                     (3, 3), (3, 4), (4, 3), (4, 4), (5, 5)}
+    assert support(build_scaled_adjacency(tree6, "AT")) == {
+        (0, 0), (0, 2), (2, 0), (2, 2), (3, 3), (3, 4), (4, 3), (4, 4), (5, 5)}
 
 
 def test_word_tt_dense_oracle(tree6):
-    built = build_scaled_adjacency(tree6, ScaleSpec("TT"))
-    assert support(built.matrix) == word_support_oracle(tree6.to_dense(), "TT")
+    built = build_scaled_adjacency(tree6, "TT")
+    assert support(built) == word_support_oracle(tree6.to_dense(), "TT")
 
 
 def test_selfloop_mode_applied_after_product(tree6):
-    removed = build_scaled_adjacency(tree6, ScaleSpec("AT", "remove")).matrix
+    removed = build_scaled_adjacency(tree6, "AT", "remove")
     assert support(removed) == {(0, 2), (2, 0), (3, 4), (4, 3)}
-    added = build_scaled_adjacency(tree6, ScaleSpec("AT", "add")).matrix
+    added = build_scaled_adjacency(tree6, "AT", "add")
     assert np.all(np.diag(added.to_dense()) == 1)
+
+
+def test_adjacency_is_sorted_once_for_every_word(monkeypatch):
+    adj = random_weighted(np.random.default_rng(5), 30, 30, 0.1)
+    sorts = []
+    sorted_transpose = sparse._sorted_transpose
+    monkeypatch.setattr(sparse, "_sorted_transpose", lambda s: sorts.append(s) or
+                        sorted_transpose(s))
+    for word in MODEL_WORDS:
+        build_scaled_adjacency(adj, word)
+    assert len(sorts) == 1
 
 
 def test_all_words_match_path_oracle():
@@ -80,8 +88,8 @@ def test_all_words_match_path_oracle():
         a = random_digraph(rng, n, 0.3)
         dense = a.to_dense()
         for word in ALL_WORDS:
-            built = build_scaled_adjacency(a, ScaleSpec(word))
-            assert support(built.matrix) == word_support_oracle(dense, word), word
+            built = build_scaled_adjacency(a, word)
+            assert support(built) == word_support_oracle(dense, word), word
 
 
 # -- proximity ----------------------------------------------------------------
@@ -133,7 +141,7 @@ def test_pruned_proximity_matches_iterative_dense_oracle():
 def test_build_requires_square_adjacency():
     rect = SparseMatrix.from_coo(2, 3, [0], [1], [1.0])
     with pytest.raises(ValueError, match="square"):
-        build_scaled_adjacency(rect, ScaleSpec("A"))
+        build_scaled_adjacency(rect, "A")
 
 
 def test_proximity_combine_dense_oracle():
@@ -222,6 +230,5 @@ def test_model_matrix_family_transposes_once_and_matches_each_word(monkeypatch):
         fam = model_matrix_family(adj, mode, second)
         assert len(calls) == 1
         for word, got in fam.items():
-            spec = ScaleSpec(word, mode if len(word) == 1 else second)
-            assert got == build_scaled_adjacency(adj, spec).matrix
+            assert got == build_scaled_adjacency(adj, word, mode if len(word) == 1 else second)
 

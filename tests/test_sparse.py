@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from scalegraph import sparse
 from scalegraph.graphdata import generate_dsbm
+from scalegraph.scales import apply_selfloop_mode
 from scalegraph.sparse import (
     SparseMatrix,
     add_self_loops,
@@ -22,7 +23,6 @@ from scalegraph.sparse import (
     pattern_union,
     remove_self_loops,
     spgemm,
-    apply_selfloop_mode,
     sym_normalize,
     transpose,
     weighted_sum,
