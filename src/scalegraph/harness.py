@@ -129,48 +129,8 @@ def train(model, graph: DirectedGraph, split, train_cfg: TrainConfig | None = No
     return TrainResult(best_val, best_test, len(history), history, seed, state.lr)
 
 
-# -- cross-validation ---------------------------------------------------------------
-
-
-@dataclass
-class CrossValResult:
-    mean: float
-    std: float
-    results: list
-
-    @property
-    def test_accs(self):
-        return [r.test_acc_at_best_val for r in self.results]
-
-    def summary(self):
-        return f"{100 * self.mean:.1f}±{100 * self.std:.1f}"
-
-
 def _sample_std(values):
     return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-
-
-def _fold_runs(cfg, graph, splits, seeds, train_cfg, plan):
-    """One ``train(build_model(..., plan=plan))`` result per (split, seed) pair."""
-    if len(splits) == 0:
-        raise ValueError("need at least one split")
-    results = []
-    for split, seed in zip(splits.splits, seeds):
-        model = build_model(cfg, graph, seed=seed, plan=plan)
-        results.append(train(model, graph, split, train_cfg, seed=seed))
-    return results
-
-
-def cross_validate(cfg: ModelConfig, graph: DirectedGraph, splits: SplitSet,
-                   seeds=0, train_cfg: TrainConfig | None = None) -> CrossValResult:
-    """One training run per split; mean and sample std of test accuracy."""
-    if isinstance(seeds, (int, np.integer)):
-        seeds = [derive_seed(seeds, "fold", i) for i in range(len(splits))]
-    if len(seeds) != len(splits):
-        raise ValueError("one seed per split required")
-    results = _fold_runs(cfg, graph, splits, seeds, train_cfg, MatrixPlan(graph.adjacency))
-    accs = [r.test_acc_at_best_val for r in results]
-    return CrossValResult(float(np.mean(accs)), _sample_std(accs), results)
 
 
 # -- per-scale accuracy table ----------------------------------------------------------
@@ -298,14 +258,16 @@ def default_grid_space(base: ModelConfig | None = None):
     """The full tuning grid, varying the first direction parameter only.
 
     A non-scalenet base keeps ``comb1`` at ``add``, the only value it accepts,
-    and its own ``alpha``, which its family ignores.
+    and its own ``alpha``, which its family ignores; a gcn or mlp base keeps
+    its own ``selfloop_mode``, which those families ignore.
     """
     base = base or ModelConfig()
     space = []
     directions = GRID_DIRECTION if base.family == "scalenet" else (base.alpha,)
+    selfloops = (base.selfloop_mode,) if base.family in ("gcn", "mlp") else GRID_SELFLOOP
     for layers, lr, drop, bn, relu_on, jk, selfloop, alpha in product(
             GRID_LAYERS, GRID_LR, GRID_DROPOUT, GRID_BN, GRID_RELU,
-            GRID_JK, GRID_SELFLOOP, directions):
+            GRID_JK, selfloops, directions):
         comb1, comb2 = _JK_TO_COMBS[jk]
         if base.family != "scalenet":
             comb1 = "add"
@@ -329,7 +291,8 @@ class GridResult:
 
 def grid_search(space, graph: DirectedGraph, splits: SplitSet,
                 train_cfg: TrainConfig | None = None, base_seed: int = 0):
-    """Exhaustive search over ``space``; ranked by mean validation accuracy.
+    """Exhaustive search over ``space``, one training run per (config, split); ranked by
+    mean validation accuracy. Cross-validating one config is ``grid_search([cfg], ...)``.
 
     Ties break toward fewer layers, then lower learning rate. Each (config,
     split) run gets a seed derived from the base seed and the config text, so
@@ -338,12 +301,17 @@ def grid_search(space, graph: DirectedGraph, splits: SplitSet,
     space = list(space)
     if not space:
         raise ValueError("empty grid space")
+    if len(splits) == 0:
+        raise ValueError("need at least one split")
 
     plan = MatrixPlan(graph.adjacency)  # shared by every config, freed on return
     ranked = []
     for cfg in space:
-        seeds = [derive_seed(base_seed, cfg.to_json(), s_idx) for s_idx in range(len(splits))]
-        runs = _fold_runs(cfg, graph, splits, seeds, train_cfg, plan)
+        runs = []
+        for s_idx, split in enumerate(splits.splits):
+            seed = derive_seed(base_seed, cfg.to_json(), s_idx)
+            model = build_model(cfg, graph, seed=seed, plan=plan)
+            runs.append(train(model, graph, split, train_cfg, seed=seed))
         vals = [r.best_val_acc for r in runs]
         tests = [r.test_acc_at_best_val for r in runs]
         ranked.append(GridResult(cfg, float(np.mean(vals)), float(np.mean(tests)),

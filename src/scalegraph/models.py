@@ -57,7 +57,6 @@ from scalegraph.graphdata import DirectedGraph
 from scalegraph.scales import proximity_matrix
 from scalegraph.sparse import (
     SparseMatrix,
-    add_self_loops,
     link_transposes,
     pattern_intersection,
     pattern_union,
@@ -66,8 +65,6 @@ from scalegraph.sparse import (
 )
 
 DIRECTION_VALUES = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
-FAMILIES = ("scalenet", "one_ig", "one_igi2", "one_igu2", "one_igu3",
-            "one_ym", "gcn", "mlp", "dirgnn_lite")
 COMB1_CHOICES = ("add", "jk_max", "jk_cat")
 COMB2_CHOICES = ("last", "jk_max", "jk_cat")
 
@@ -199,15 +196,16 @@ class MatrixPlan:
     the second-scale words by one ``scales.model_matrix_family`` call per self-loop mode. A
     normalized word is linked (``link_transposes``) to that of its transpose, the word
     reversed with A and T swapped: entry (i, j) of one and (j, i) of the other are both
-    ``(1.0 * r_i) * c_j`` over the same integer sums. Pair blends and proximity matrices are
-    built once too. Layer-1 inputs are not kept, as a plan lives for a whole grid."""
+    ``(1.0 * r_i) * c_j`` over the same integer sums. Each pair blend and each symmetric
+    channel matrix, a pair's union or intersection or a proximity matrix, is built once too.
+    Layer-1 inputs are not kept, as a plan lives for a whole grid."""
 
     def __init__(self, adj: SparseMatrix):
         self.adj = adj.pattern()
         self._words = {}
         self._normalized = {}
         self._blends = {}
-        self._proximity = {}
+        self._symmetric = {}
 
     def word(self, word, mode):
         if (word, mode) not in self._words:
@@ -238,18 +236,19 @@ class MatrixPlan:
                 link_transposes(b, b)
         return self._blends[key]
 
-    def proximity(self, k, combine):
-        """The normalized order-``k`` proximity matrix, its generated self-loops pruned."""
-        if (k, combine) not in self._proximity:
-            self._proximity[k, combine] = self.symmetric(proximity_matrix(self.adj, k, combine))
-        return self._proximity[k, combine]
+    def combined(self, words, mode, combine):
+        """Normalized ``combine(M, N)`` (``pattern_union`` or ``pattern_intersection``) of the
+        pair ``words`` = (M, N) under ``mode``. one_ym's A | T is scalenet's alpha = 2 block,
+        and gcn's A + A^T + I is that block under "add"."""
+        return self.symmetric((words, mode, combine),
+                              lambda: combine(*(self.word(w, mode) for w in words)))
 
-    @staticmethod
-    def symmetric(pattern):
-        """``sym_normalize`` of a symmetric pattern, marked as its own transpose."""
-        s = sym_normalize(pattern)
-        link_transposes(s, s)
-        return s
+    def symmetric(self, key, build):
+        """``sym_normalize(build())`` of a symmetric pattern, once per ``key``, marked symmetric."""
+        if key not in self._symmetric:
+            s = self._symmetric[key] = sym_normalize(build())
+            link_transposes(s, s)
+        return self._symmetric[key]
 
 
 def prepare_direction_blocks(plan: MatrixPlan, cfg: ModelConfig):
@@ -262,11 +261,13 @@ def prepare_direction_blocks(plan: MatrixPlan, cfg: ModelConfig):
         (cfg.gamma, ("AA", "TT"), second)) if param != -1.0]
     if not pairs:
         raise ValueError("all direction blocks are excluded")
-    sides = [[plan.word(w, mode) for w in words] for _, words, mode in pairs]
+    for _, words, mode in pairs:
+        for w in words:
+            plan.word(w, mode)
     return [pair_channel(param, lambda i: plan.normalized(words[i], mode),
                          lambda c_m, c_n: plan.blend(words, mode, c_m, c_n),
-                         lambda combine: plan.symmetric(combine(m, n)))
-            for (param, words, mode), (m, n) in zip(pairs, sides)]
+                         lambda combine: plan.combined(words, mode, combine))
+            for param, words, mode in pairs]
 
 
 # -- layers ---------------------------------------------------------------------
@@ -404,19 +405,18 @@ def _inception(*proximity):
     """Channels A and T, then one per pruned proximity matrix (hops, mode)."""
     def channels(plan, cfg):
         return [(m, 1.0) for m in [plan.normalized(w, cfg.selfloop_mode) for w in ("A", "T")]
-                + [plan.proximity(k, mode) for k, mode in proximity]]
+                + [plan.symmetric((k, mode), lambda: proximity_matrix(plan.adj, k, mode))
+                   for k, mode in proximity]]
     return channels
 
 
 def _one_ym(plan, cfg):
-    a, t = (plan.word(w, cfg.selfloop_mode) for w in ("A", "T"))
-    return [(m, 1.0) for m in [plan.symmetric(pattern_union(a, t))] + [
+    return [(m, 1.0) for m in [plan.combined(("A", "T"), cfg.selfloop_mode, pattern_union)] + [
         plan.normalized(w, cfg.second_scale_selfloops) for w in ("AT", "TA")]]
 
 
 def _gcn(plan, cfg):
-    a, t = (plan.word(w, "keep") for w in ("A", "T"))
-    return [(plan.symmetric(add_self_loops(pattern_union(a, t))), 1.0)]
+    return [(plan.combined(("A", "T"), "add", pattern_union), 1.0)]
 
 
 def _dirgnn_lite(plan, cfg):
@@ -427,15 +427,16 @@ def _dirgnn_lite(plan, cfg):
 # scalenet's fusion is the configured comb1
 _WIRING = {
     "scalenet": (prepare_direction_blocks, None),
-    "mlp": (lambda plan, cfg: [None], "add"),
     "one_ig": (_inception(), "add"),
     "one_igi2": (_inception((2, "intersect")), "add"),
     "one_igu2": (_inception((2, "union")), "add"),
     "one_igu3": (_inception((2, "union"), (3, "union")), "add"),
     "one_ym": (_one_ym, "jk_cat"),
     "gcn": (_gcn, "add"),
+    "mlp": (lambda plan, cfg: [None], "add"),
     "dirgnn_lite": (_dirgnn_lite, "add"),
 }
+FAMILIES = tuple(_WIRING)
 
 
 def build_model(cfg: ModelConfig, graph: DirectedGraph, seed=0, plan=None) -> Model:

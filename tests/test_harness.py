@@ -19,7 +19,6 @@ from scalegraph.harness import (
     TrainResult,
     _average_ranks,
     accuracy,
-    cross_validate,
     default_grid_space,
     derive_seed,
     grid_search,
@@ -200,30 +199,7 @@ def test_train_requires_validation_set(toy):
         train(build_model(toy_cfg(), g, seed=0), g, bad, FAST, seed=0)
 
 
-# -- cross-validation --------------------------------------------------------------
-
-
-def test_cross_validate_single_split_zero_std(toy):
-    g, splits = toy
-    one = type(splits)([splits[0]])
-    cv = cross_validate(toy_cfg(), g, one, seeds=[2], train_cfg=FAST)
-    assert cv.std == 0.0 and len(cv.results) == 1
-
-
-def test_cross_validate_identical_splits_identical_results(toy):
-    g, splits = toy
-    doubled = type(splits)([splits[0], splits[0]])
-    cv = cross_validate(toy_cfg(), g, doubled, seeds=[9, 9], train_cfg=FAST)
-    assert cv.results[0].history == cv.results[1].history
-    assert cv.std == 0.0
-
-
-def test_cross_validate_summary_format(toy):
-    g, splits = toy
-    cv = cross_validate(toy_cfg(), g, splits, seeds=0, train_cfg=FAST)
-    mean, std = cv.summary().split("±")
-    assert float(mean) == pytest.approx(100 * cv.mean, abs=0.051)
-    assert float(std) == pytest.approx(100 * cv.std, abs=0.051)
+# -- matrix builds ---------------------------------------------------------------------
 
 
 @pytest.fixture
@@ -243,16 +219,6 @@ def family_builds(monkeypatch):
 
 def graph_state(g):
     return {k: id(v) for k, v in vars(g).items()}, g.adjacency._t_cache
-
-
-def test_cross_validate_builds_one_matrix_family(toy, family_builds):
-    g, splits = toy
-    before = graph_state(g)
-    folds = type(splits)([splits[0], splits[1], splits[0]])
-    cv = cross_validate(toy_cfg(beta=0.5), g, folds, seeds=3, train_cfg=FAST)
-    assert len(cv.results) == 3 and len(family_builds) == 1
-    assert all(ref() is None for ref in family_builds[0])
-    assert graph_state(g) == before
 
 
 # -- per-scale report -----------------------------------------------------------------
@@ -305,8 +271,6 @@ def test_drivers_reject_empty_splits_and_seeds(toy):
     g, splits = toy
     none = type(splits)([])
     with pytest.raises(ValueError, match="at least one split"):
-        cross_validate(toy_cfg(), g, none, train_cfg=FAST)
-    with pytest.raises(ValueError, match="at least one split"):
         grid_search([toy_cfg()], g, none, train_cfg=FAST)
     with pytest.raises(ValueError, match="at least one split"):
         per_scale_report(g, none, columns=["A"], train_cfg=FAST)
@@ -323,6 +287,9 @@ def test_default_grid_space_size():
     others = default_grid_space(ModelConfig(family="one_ig"))
     assert len(others) == len(space) // len(GRID_DIRECTION)
     assert {c.comb1 for c in others} == {"add"} and {c.alpha for c in others} == {0.5}
+    for family in ("gcn", "mlp"):  # neither reads selfloop_mode
+        grid = default_grid_space(ModelConfig(family=family, selfloop_mode="add"))
+        assert len(grid) == 360 and {c.selfloop_mode for c in grid} == {"add"}
 
 
 def test_grid_search_singleton(toy):
@@ -331,6 +298,14 @@ def test_grid_search_singleton(toy):
     cfg = toy_cfg()
     ranked = grid_search([cfg], g, one, train_cfg=FAST, base_seed=0)
     assert len(ranked) == 1 and ranked[0].config == cfg
+
+
+def test_cross_validate_single_split_zero_std(toy):
+    # cross-validating one config is a one-config grid search
+    g, splits = toy
+    one = type(splits)([splits[0]])
+    [cv] = grid_search([toy_cfg()], g, one, train_cfg=FAST, base_seed=2)
+    assert cv.std_test_acc == 0.0 and len(cv.test_accs) == 1
 
 
 def test_grid_search_ranks_good_above_bad(toy):
@@ -378,6 +353,20 @@ def test_grid_search_normalizes_each_word_once(toy, monkeypatch):
     assert len(normalized) == 2
     # the A/T blend under "add" and under "keep", the AT/TA blend under "keep"
     assert len(blends) == 3
+
+
+def test_grid_search_builds_each_symmetric_channel_matrix_once(toy, monkeypatch):
+    g, splits = toy
+    normalized = []
+    normalize = models.sym_normalize
+    monkeypatch.setattr(models, "sym_normalize", lambda s: normalized.append(s) or normalize(s))
+    space = [toy_cfg(lr=lr, **shape) for shape in (
+        {"family": "gcn"}, {"family": "one_ym"}, {"alpha": 2.0}, {"alpha": 3.0, "beta": 3.0})
+        for lr in (0.01, 0.05)]
+    grid_search(space, g, splits, train_cfg=TrainConfig(max_epochs=2))
+    # gcn's A | T under "add"; one_ym's A | T under "keep", which alpha = 2 shares, and
+    # its AT and TA; the intersections of A/T and of AT/TA
+    assert len(normalized) == 6
 
 
 def test_grid_search_builds_each_proximity_matrix_once(monkeypatch):
