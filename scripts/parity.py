@@ -13,6 +13,10 @@ batchnorm running statistics. The sweep, in order:
   blocks) x {plain, dropout 0.5, batchnorm} on a small dSBM, then scalenet
   with both sides of all three direction pairs and self-loops removed at both
   scales, x the same three variants;
+* ``fusions``: scalenet with a lone side of coefficient 2, a blend and an
+  intersection block, at 1 and 3 layers x every intra-layer fusion x the
+  cross-layer fusions ``jk_max`` and ``jk_cat``, each with one of {plain,
+  dropout 0.5, batchnorm, no ReLU} in turn;
 * ``per-scale``: ``per_scale_report`` with shared-edge removal on that dSBM;
 * ``grid``: ``grid_search`` over four configs and both splits of that dSBM, whose
   lone pair sides meet their partners through the search's one matrix plan;
@@ -20,7 +24,7 @@ batchnorm running statistics. The sweep, in order:
 * ``large-sparse``: perfbench's ``large-sparse`` workload at seed 1, its graph
   written by ``perfbench/workloads.py``'s ``write_large_graph``.
 
-``--quick`` runs the first three sections only.
+``--quick`` runs the first four sections only.
 
 ``--mode bits`` compares one digest per run (its result dict plus its state
 hash) and lists every mismatch. ``--mode tolerance`` lists, per run, the
@@ -36,6 +40,7 @@ when a tree fails to run the sweep. numpy and the stdlib only.
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -91,6 +96,17 @@ def _small_sweep(harness, models, graphdata):
                                  selfloop_mode="remove", second_scale_selfloops="remove",
                                  **extra)
         seed = 10 * len(models.FAMILIES) + j
+        harness.train(models.build_model(cfg, g, seed=seed), g, splits.splits[0], tc,
+                      seed=seed)
+    yield "fusions"
+    # every branch of the layer and head nodes: three channels add their gradients into a
+    # hidden layer's input, which the head's jk_max or jk_cat fusion reads too
+    extras = [*variants.values(), {"use_relu": False}]
+    for i, (layers, comb1, comb2) in enumerate(itertools.product(
+            (1, 3), models.COMB1_CHOICES, ("jk_max", "jk_cat"))):
+        cfg = models.ModelConfig(alpha=1.0, beta=0.5, gamma=3.0, layers=layers, hidden=8,
+                                 lr=0.05, comb1=comb1, comb2=comb2, **extras[i % len(extras)])
+        seed = 100 + i
         harness.train(models.build_model(cfg, g, seed=seed), g, splits.splits[0], tc,
                       seed=seed)
     yield "per-scale"

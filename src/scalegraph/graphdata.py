@@ -357,7 +357,8 @@ def generate_dsbm(n, n_classes, p_in, p_out, profile=DirectionProfile(),
     probability ``p_in`` when labels match and ``p_out`` otherwise; the
     direction profile may then forbid in-edges for a fixed node subset.
     Fully deterministic under ``seed``. The edges are drawn in row chunks, so
-    memory is O(n + edges) beyond a fixed chunk of draws.
+    memory is O(n + edges) beyond a fixed chunk of draws; each draw is compared
+    once, against ``p_in`` inside a class block and ``p_out`` outside.
     """
     if not (0 <= p_in <= 1 and 0 <= p_out <= 1):
         raise ValueError("edge probabilities must be in [0, 1]")
@@ -366,14 +367,12 @@ def generate_dsbm(n, n_classes, p_in, p_out, profile=DirectionProfile(),
     rng = np.random.default_rng(seed)
     sizes = [n // n_classes + (1 if c < n % n_classes else 0) for c in range(n_classes)]
     labels = np.repeat(np.arange(n_classes), sizes)
+    bounds = np.cumsum([0] + sizes)  # the classes are contiguous blocks of nodes
 
-    starved = np.zeros(n, dtype=bool)
+    starved = []
     if profile.signal == "out" and profile.no_in_fraction > 0:
-        start = 0
-        for size in sizes:
-            k = int(np.floor(profile.no_in_fraction * size))
-            starved[start:start + k] = True
-            start += size
+        for start, size in zip(bounds, sizes):
+            starved.extend(range(start, start + int(np.floor(profile.no_in_fraction * size))))
 
     # row chunks of at most _DSBM_CHUNK_CELLS draws; successive draws continue
     # one stream, so every chunking gives the same graph and the same features
@@ -382,9 +381,14 @@ def generate_dsbm(n, n_classes, p_in, p_out, profile=DirectionProfile(),
     for r0 in range(0, n, rows_per_chunk):
         r1 = min(n, r0 + rows_per_chunk)
         draws = rng.random((r1 - r0, n))
-        hit = np.where(labels[r0:r1, None] == labels[None, :], draws < p_in, draws < p_out)
+        hit = draws < p_out
+        for c0, c1 in zip(bounds[:-1], bounds[1:]):  # the chunk's same-class blocks
+            b0, b1 = max(r0, c0) - r0, min(r1, c1) - r0
+            if b0 < b1:
+                hit[b0:b1, c0:c1] = draws[b0:b1, c0:c1] < p_in
         hit[np.arange(r1 - r0), np.arange(r0, r1)] = False
-        hit[:, starved] = False
+        if starved:
+            hit[:, starved] = False
         # flat indices of the mask are row-major keys, already sorted and unique
         keys.append(np.flatnonzero(hit) + np.int64(r0) * n)
 

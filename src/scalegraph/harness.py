@@ -79,9 +79,8 @@ def train(model, graph: DirectedGraph, split, train_cfg: TrainConfig | None = No
     forward equals the eval forward, so the scoring forward runs in training
     mode and its recorded graph serves as the next epoch's training forward: a
     run costs ``epochs_run + 1`` forwards instead of ``2 * epochs_run``. With
-    dropout or batchnorm the scoring forward runs in eval mode and every epoch
-    runs its own training forward; such a run keeps only the scoring forward's
-    logits array, so that forward's graph is dropped once the epoch is scored.
+    dropout or batchnorm the scoring forward runs in eval mode, which records no
+    graph, and every epoch runs its own training forward.
     """
     tc = train_cfg or TrainConfig()
     if len(split.val) == 0:
@@ -108,7 +107,7 @@ def train(model, graph: DirectedGraph, split, train_cfg: TrainConfig | None = No
 
         logits = model.forward(graph.features, training=fused, rng=rng)
         scored = logits.data
-        logits = logits if fused else None  # no backward uses an eval graph
+        logits = logits if fused else None  # an eval forward records no graph
         val_acc = _hit_rate(scored, graph.labels, split.val)
         history.append((float(loss.data), val_acc))
         if val_acc > best_val:

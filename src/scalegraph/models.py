@@ -41,17 +41,11 @@ import numpy as np
 from scalegraph import scales
 from scalegraph.autodiff import (
     Tensor,
-    add,
-    add_bias,
-    batchnorm,
-    concat_cols,
-    dropout,
+    _accumulate,
+    _check_finite,
+    _spmm_data,
     glorot_uniform,
-    matmul,
-    maximum,
-    relu,
-    scale,
-    spmm,
+    make_node,
 )
 from scalegraph.graphdata import DirectedGraph
 from scalegraph.scales import proximity_matrix
@@ -61,6 +55,7 @@ from scalegraph.sparse import (
     pattern_intersection,
     pattern_union,
     sym_normalize,
+    transpose,
     weighted_sum,
 )
 
@@ -139,25 +134,74 @@ def direction_coefficients(alpha: float):
     return (1.0 + alpha) * alpha, (1.0 + alpha) * (1.0 - alpha)
 
 
-def propagate(channel, h: Tensor) -> Tensor:
-    """c * S h of the channel (S, c); the channel ``None`` is the identity.
+def propagate(channel, h):
+    """c * S h of the channel (S, c), as an array; the channel ``None`` is the identity.
 
-    A coefficient of 1.0 skips ``scale``, which would multiply by 1 exactly.
+    A coefficient of 1.0 skips the scaling, which would multiply by 1 exactly.
     """
     if channel is None:
         return h
     s, c = channel
-    return spmm(s, h) if c == 1.0 else scale(spmm(s, h), c)
+    out = _spmm_data(s, h)
+    return out if c == 1.0 else c * out
 
 
-def fuse(outs, mode, proj=None):
-    """Fuse branch outputs: ``add``, ``jk_max``, ``jk_cat`` (then ``proj`` if given) or ``last``."""
+def fuse(outs, mode):
+    """Fuse branch arrays by ``mode`` (``add``, ``jk_max``, ``jk_cat`` or ``last``); returns
+    the fused array and, for ``jk_max``, where each running maximum is kept (on ties too)."""
     if mode == "last":
-        return outs[-1]
+        return outs[-1], None
     if mode == "jk_cat":
-        cat = concat_cols(outs)
-        return cat if proj is None else matmul(cat, proj)
-    return reduce(maximum if mode == "jk_max" else add, outs)
+        return np.concatenate(outs, axis=1), None
+    if mode == "add":
+        return reduce(np.add, outs), None
+    fused, takes = outs[0], []
+    for out in outs[1:]:
+        takes.append(fused >= out)
+        fused = np.where(takes[-1], fused, out)
+    return fused, takes
+
+
+def unfuse(g, mode, k, takes):
+    """Each of the ``k`` branches' gradient from the gradient ``g`` of ``fuse``'s output,
+    in branch order; under ``last`` the earlier branches get ``None``."""
+    if mode == "last":
+        return [None] * (k - 1) + [g]
+    if mode == "jk_cat":
+        return np.split(g, k, axis=1)
+    if mode == "add":
+        return [g] * k
+    grads = []
+    for take in reversed(takes):
+        grads.append(g * ~take)
+        g = g * take
+    return [g] + grads[::-1]
+
+
+# batchnorm's running-statistics momentum and variance epsilon
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
+def batchnorm(x, gamma, beta, stats, training):
+    """Column-wise batch normalization of the array ``x`` with affine rows ``gamma``, ``beta``.
+
+    ``stats`` is a (2, width) array of running means and variances. Training
+    mode normalizes with batch statistics and moves ``stats`` toward them by
+    ``BN_MOMENTUM`` in place. It never rebinds the array, so a view (each
+    layer's ``bn_stats`` is a view of ``Model.state``) is updated where it
+    lives. Eval mode uses ``stats`` and is a per-column affine map. Returns the
+    output, the centered input and the inverse deviation.
+    """
+    if training:
+        mean, var = batch = np.stack([x.mean(axis=0), x.var(axis=0)])
+        stats *= 1 - BN_MOMENTUM
+        stats += BN_MOMENTUM * batch
+    else:
+        mean, var = stats
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    centered = x - mean
+    return centered * inv_std * gamma + beta, centered, inv_std
 
 
 def pair_channel(alpha, side, blend, combined):
@@ -187,7 +231,7 @@ def agg_b(alpha: float, m: SparseMatrix, n: SparseMatrix, x: Tensor, weight: Ten
     channel = pair_channel(alpha, lambda i: (m, n)[i],
                            lambda c_m, c_n: weighted_sum(m, n, c_m, c_n),
                            lambda combine: combine(m, n))
-    return propagate(channel, matmul(x, weight))
+    return Tensor(propagate(channel, x.data @ weight.data))
 
 
 class MatrixPlan:
@@ -276,9 +320,16 @@ def prepare_direction_blocks(plan: MatrixPlan, cfg: ModelConfig):
 class Layer:
     """Channels with their own weights, a fusion, a bias and optional BN / ReLU / dropout.
 
-    Called with ``inputs``, the channels' propagated inputs P_c = c * S x, it computes each
-    channel (S, c) as P_c W and ignores ``x``; without them, as c * S (x W). The channel
-    ``None`` is the identity: P_c = x.
+    Called with ``inputs``, the channels' propagated input arrays P_c = c * S x, it
+    computes each channel (S, c) as P_c W and ignores ``x``; without them, as
+    c * S (x W). The channel ``None`` is the identity: P_c = x.
+
+    A training call is one graph node; an eval call records none. Its backward runs
+    the steps in reverse and adds the channels' gradients into ``x`` in channel order.
+    It keeps only what it reads: ``x``, ``jk_max``'s masks or ``jk_cat``'s concatenation,
+    BN's centered input and inverse deviation, the ReLU mask and the dropout factor.
+    Finiteness is checked where a maximum could hide it (each ``jk_max`` branch, the
+    ReLU's input) and on the output.
     """
 
     def __init__(self, cfg, channels, fusion, in_dim, rng):
@@ -299,21 +350,64 @@ class Layer:
             self.bn_stats = np.stack([np.zeros(cfg.hidden), np.ones(cfg.hidden)])
 
     def __call__(self, x, training, rng, inputs=None):
+        cfg, fusion, proj = self.cfg, self.fusion, self.proj
+        weights, k = self.weights, len(self.weights)
         if inputs is None:
-            outs = [propagate(channel, matmul(x, w))
-                    for channel, w in zip(self.channels, self.weights)]
+            outs = [propagate(channel, x.data @ w.data)
+                    for channel, w in zip(self.channels, weights)]
         else:
-            outs = [matmul(p, w) for p, w in zip(inputs, self.weights)]
-        h = add_bias(fuse(outs, self.fusion, self.proj), self.bias)
-        if self.cfg.use_bn:
-            h = batchnorm(h, self.bn_gamma, self.bn_beta, self.bn_stats, training)
-        if self.cfg.use_relu:
-            h = relu(h)
-        if self.cfg.dropout > 0.0 and training:
+            outs = [p @ w.data for p, w in zip(inputs, weights)]
+        if fusion == "jk_max":
+            for out in outs:
+                _check_finite(out)
+        fused, takes = fuse(outs, fusion)
+        cat = mask = factor = None
+        if proj is not None:
+            cat, fused = fused, fused @ proj.data
+        h = np.add(fused, self.bias.data, out=fused)  # every fused array is the layer's own
+        if cfg.use_bn:
+            h, centered, inv_std = batchnorm(h, self.bn_gamma.data, self.bn_beta.data,
+                                             self.bn_stats, training)
+        if cfg.use_relu:
+            mask = _check_finite(h) > 0
+            h = np.maximum(h, 0.0, out=h)  # -0.0 maps to +0.0
+        if cfg.dropout > 0.0 and training:
             if rng is None:
                 raise ValueError("training forward with dropout needs an rng")
-            h = dropout(h, self.cfg.dropout, rng, training)
-        return h
+            factor = (rng.random(h.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+            h = h * factor
+
+        def backward(g):
+            if factor is not None:
+                g = g * factor
+            if mask is not None:
+                g = g * mask
+            if cfg.use_bn:
+                _accumulate(self.bn_gamma, (g * (centered * inv_std)).sum(axis=0, keepdims=True))
+                _accumulate(self.bn_beta, g.sum(axis=0, keepdims=True))
+                gx_hat = g * self.bn_gamma.data
+                m = centered.shape[0]
+                d_var = np.sum(gx_hat * centered, axis=0) * -0.5 * inv_std**3
+                d_mean = (np.sum(gx_hat, axis=0) * -inv_std
+                          + d_var * np.mean(-2.0 * centered, axis=0))
+                g = gx_hat * inv_std + d_var * 2.0 * centered / m + d_mean / m
+            _accumulate(self.bias, g.sum(axis=0, keepdims=True))
+            if proj is not None:
+                _accumulate(proj, cat.T @ g)
+                g = g @ proj.data.T
+            grads = unfuse(g, fusion, k, takes)
+            for channel, w, p, g in zip(self.channels, weights, inputs or [None] * k, grads):
+                if p is not None:
+                    _accumulate(w, p.T @ g)
+                    continue
+                if channel is not None:
+                    s, c = channel
+                    g = _spmm_data(transpose(s), g if c == 1.0 else c * g)
+                if x.requires_grad:
+                    _accumulate(x, g @ w.data.T)
+                _accumulate(w, x.data.T @ g)
+
+        return make_node(h, (x, *self.params()) if training else (), backward)
 
     def params(self):
         return [p for p in (*self.weights, self.proj, self.bias, self.bn_gamma, self.bn_beta)
@@ -324,11 +418,12 @@ class Model:
     """Stacked layers, cross-layer fusion, and a linear classifier head.
 
     ``features`` is the graph's (read-only) feature array X. The model keeps
-    ``inputs``, layer 1's propagated inputs P_c = c * S X, one per channel (S, c)
+    ``inputs``, layer 1's propagated input arrays P_c = c * S X, one per channel (S, c)
     (X itself for the channel ``None``), which costs channels x n x d floats.
     ``forward`` uses them when it is given that same array; any other array
     takes the sparse path in layer 1 and gives the same logits up to rounding,
-    since (S X) W and S (X W) sum their products in different orders.
+    since (S X) W and S (X W) sum their products in different orders. A training
+    ``forward`` records a node per layer and one for the head (fusion, matmul, bias).
 
     Once every weight is drawn, the model's whole state is packed into one
     float64 array ``state``: the parameters in ``params()`` order, then each
@@ -357,7 +452,7 @@ class Model:
             layer.bn_stats = view
         self.vector = self.state[:sum(p.data.size for p in params)]
         self.features = features
-        self.inputs = [propagate(channel, Tensor(features)) for channel in layers[0].channels]
+        self.inputs = [propagate(channel, features) for channel in layers[0].channels]
 
     def forward(self, features, training=False, rng=None) -> Tensor:
         inputs = self.inputs if features is self.features else None
@@ -367,7 +462,17 @@ class Model:
             x = layer(x, training, rng, inputs)
             inputs = None
             outs.append(x)
-        return add_bias(matmul(fuse(outs, self.config.comb2), self.head_weight), self.head_bias)
+        mode, w, b = self.config.comb2, self.head_weight, self.head_bias
+        fused, takes = fuse([out.data for out in outs], mode)
+
+        def backward(g):  # the head: cross-layer fusion, matmul and bias as one node
+            _accumulate(b, g.sum(axis=0, keepdims=True))
+            _accumulate(w, fused.T @ g)
+            for out, g_out in zip(outs, unfuse(g @ w.data.T, mode, len(outs), takes)):
+                if g_out is not None:
+                    _accumulate(out, g_out)
+
+        return make_node(fused @ w.data + b.data, (*outs, w, b) if training else (), backward)
 
     def params(self):
         out = []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scalegraph.autodiff import _accumulate, make_node
 from scalegraph.sparse import SparseMatrix
 
 # 6-node worked example: directed edges (1,2),(3,2),(4,3),(5,3),(6,1) in
@@ -25,3 +26,31 @@ def random_digraph(rng, n, density=0.25, allow_self_loops=False):
 def random_weighted(rng, n_rows, n_cols, density=0.3):
     dense = rng.random((n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < density)
     return SparseMatrix.from_dense(dense)
+
+
+# -- graph ops for tests of the engine itself -------------------------------------------
+# The models need no elementwise ops of the engine (a layer is one node), so the tests
+# of backward's bookkeeping build theirs from make_node.
+
+
+def add(a, b):
+    def backward(g):
+        _accumulate(a, g)
+        _accumulate(b, g)
+
+    return make_node(a.data + b.data, (a, b), backward)
+
+
+def mul(a, b):
+    def backward(g):
+        _accumulate(a, g * b.data)
+        _accumulate(b, g * a.data)
+
+    return make_node(a.data * b.data, (a, b), backward)
+
+
+def sum_all(a):
+    def backward(g):
+        _accumulate(a, float(g) * np.ones_like(a.data))
+
+    return make_node(np.asarray(a.data.sum()), (a,), backward)

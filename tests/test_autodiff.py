@@ -14,32 +14,21 @@ import pytest
 
 from scalegraph import autodiff
 from scalegraph.autodiff import (
-    BN_EPS,
-    BN_MOMENTUM,
     AdamState,
     Tensor,
     adam_step,
-    add,
-    add_bias,
     backward,
-    batchnorm,
-    concat_cols,
-    dropout,
     finite_diff_check,
     glorot_uniform,
     make_node,
     matmul,
-    maximum,
-    mul,
-    relu,
-    scale,
     softmax_cross_entropy,
     spmm,
-    sum_all,
 )
+from scalegraph.models import BN_EPS, BN_MOMENTUM, Layer, ModelConfig, batchnorm
 from scalegraph.sparse import SparseMatrix
 
-from conftest import random_digraph
+from conftest import add, mul, random_digraph, sum_all
 
 
 def rand_tensor(rng, shape, requires_grad=True, away_from_zero=False):
@@ -49,12 +38,22 @@ def rand_tensor(rng, shape, requires_grad=True, away_from_zero=False):
     return Tensor(data, requires_grad=requires_grad)
 
 
+def post_op_layer(width, channels=(None,), fusion="add", **cfg):
+    """A layer whose channels are the identity with identity weights and whose bias is
+    zero: its output is the fused input through the configured BN / ReLU / dropout."""
+    cfg = ModelConfig(family="mlp", hidden=width, layers=1, **{"use_relu": False, **cfg})
+    layer = Layer(cfg, channels, fusion, width, np.random.default_rng(0))
+    for w in layer.weights:
+        w.data[:] = np.eye(width)
+    return layer
+
+
 # -- forward semantics -------------------------------------------------------
 
 
 def test_relu_all_negative_is_zero():
     x = Tensor(-np.ones((3, 4)))
-    assert np.all(relu(x).data == 0.0)
+    assert np.all(post_op_layer(4, use_relu=True)(x, True, None).data == 0.0)
 
 
 def test_relu_gives_positive_zero_for_signed_zeros_and_negatives():
@@ -63,7 +62,7 @@ def test_relu_gives_positive_zero_for_signed_zeros_and_negatives():
     data[2] = -2.5
     data[3, ::2] = 1.5
     x = Tensor(data, requires_grad=True)
-    out = relu(x)
+    out = post_op_layer(37, use_relu=True)(x, True, None)
     assert np.array_equal(out.data, np.where(data > 0, data, 0.0))
     assert not np.signbit(out.data).any()
     backward(sum_all(out))
@@ -72,12 +71,12 @@ def test_relu_gives_positive_zero_for_signed_zeros_and_negatives():
 
 def test_a_gradient_handed_to_two_parents_is_not_changed_in_place():
     a = Tensor(np.ones((2, 3)), requires_grad=True)
-    b = Tensor(np.ones((1, 3)), requires_grad=True)
+    b = Tensor(np.ones((2, 3)), requires_grad=True)
     c = Tensor(np.ones((2, 3)), requires_grad=True)
-    h = add(add_bias(a, b), c)
-    backward(sum_all(add(h, a)))  # one upstream array reaches h, c, a and b's node
+    h = add(add(a, b), c)
+    backward(sum_all(add(h, a)))  # one upstream array reaches h, c, a and b
     assert np.array_equal(a.grad, np.full((2, 3), 2.0))
-    assert np.array_equal(b.grad, np.full((1, 3), 2.0))
+    assert np.array_equal(b.grad, np.ones((2, 3)))
     assert np.array_equal(c.grad, np.ones((2, 3)))
     assert np.array_equal(h.grad, np.ones((2, 3)))
 
@@ -433,7 +432,7 @@ def test_grad_accumulates_over_reuse():
 def test_detached_tensor_receives_no_grad():
     rng = np.random.default_rng(3)
     x = rand_tensor(rng, (3, 3))
-    frozen = x.detach()
+    frozen = Tensor(x.data.copy())
     loss = sum_all(mul(x, frozen))
     backward(loss)
     assert frozen.grad is None
@@ -467,11 +466,11 @@ def test_backward_frees_each_unheld_node_before_reaching_its_parents():
         w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
         h = matmul(x, w)
         squared = mul(h, h)
-        rectified = relu(squared)
-        doubled = scale(rectified, 2.0)
+        quartic = mul(squared, squared)
+        doubled = add(quartic, quartic)
         loss = sum_all(doubled)
-        downstream = [weakref.ref(t.data) for t in (squared, rectified, doubled)]
-        del squared, rectified, doubled
+        downstream = [weakref.ref(t.data) for t in (squared, quartic, doubled)]
+        del squared, quartic, doubled
         alive_at_h = []
         h_backward = h._backward
 
@@ -481,7 +480,8 @@ def test_backward_frees_each_unheld_node_before_reaching_its_parents():
         h._backward = spy
         backward(loss)
         assert alive_at_h == [False] * 3
-        assert np.array_equal(h.grad, 2.0 * (2.0 * h.data) * (h.data * h.data > 0))
+        g_squared = 2.0 * (h.data * h.data) + 2.0 * (h.data * h.data)
+        assert np.array_equal(h.grad, g_squared * h.data + g_squared * h.data)
         assert x.grad is not None and w.grad is not None
         with pytest.raises(ValueError):
             backward(loss)
@@ -490,11 +490,12 @@ def test_backward_frees_each_unheld_node_before_reaching_its_parents():
 
 
 def test_maximum_routes_ties_to_first():
-    a = Tensor(np.ones((1, 2)), requires_grad=True)
-    b = Tensor(np.ones((1, 2)), requires_grad=True)
-    backward(sum_all(maximum(a, b)))
-    assert np.array_equal(a.grad, np.ones((1, 2)))
-    assert b.grad is None or np.array_equal(b.grad, np.zeros((1, 2)))
+    # two identical jk_max branches: the first channel's weight takes the whole gradient
+    layer = post_op_layer(2, channels=[None, None], fusion="jk_max")
+    backward(sum_all(layer(Tensor(np.ones((1, 2))), True, None)))
+    first, second = layer.weights
+    assert np.array_equal(first.grad, np.ones((2, 2)))
+    assert np.array_equal(second.grad, np.zeros((2, 2)))
 
 
 # -- finite differences per op ----------------------------------------------------
@@ -506,12 +507,14 @@ def fd(build, params, tol=1e-4):
 
 
 def test_fd_matmul_add_bias_scale():
+    # one channel (S, 1.7): 1.7 * S (x W) + b
     rng = np.random.default_rng(4)
     x = rand_tensor(rng, (5, 3))
-    w = rand_tensor(rng, (3, 4))
-    b = rand_tensor(rng, (1, 4))
-    fd(lambda: sum_all(mul(add_bias(scale(matmul(x, w), 1.7), b),
-                           add_bias(scale(matmul(x, w), 1.7), b))), [x, w, b])
+    layer = Layer(ModelConfig(family="mlp", hidden=4, use_relu=False),
+                  [(random_digraph(rng, 5, 0.5), 1.7)], "add", 3, rng)
+    layer.bias.data[:] = rng.normal(size=(1, 4))
+    fd(lambda: sum_all(mul(layer(x, True, None), layer(x, True, None))),
+       [x, *layer.params()])
 
 
 def test_fd_spmm():
@@ -524,39 +527,48 @@ def test_fd_spmm():
 def test_fd_relu_and_maximum():
     rng = np.random.default_rng(6)
     x = rand_tensor(rng, (6, 4), away_from_zero=True)
-    y = rand_tensor(rng, (6, 4), away_from_zero=True)
-    fd(lambda: sum_all(relu(mul(x, y))), [x, y])
-    fd(lambda: sum_all(maximum(x, y)), [x, y])
+    probe = Tensor(rng.normal(size=(6, 4)))
+    rectified = post_op_layer(4, use_relu=True)
+    fd(lambda: sum_all(mul(rectified(x, True, None), probe)), [x, *rectified.params()])
+    maximum = post_op_layer(4, channels=[None, None], fusion="jk_max")
+    maximum.weights[1].data[:] = rng.normal(size=(4, 4))
+    fd(lambda: sum_all(mul(maximum(x, True, None), probe)), [x, *maximum.params()])
 
 
 def test_fd_concat_cols():
+    # a jk_cat layer: the two branches' concatenation times the projection
     rng = np.random.default_rng(8)
-    x = rand_tensor(rng, (4, 2))
-    y = rand_tensor(rng, (4, 3))
-    w = rand_tensor(rng, (5, 2))
-    fd(lambda: sum_all(mul(matmul(concat_cols([x, y]), w), matmul(concat_cols([x, y]), w))),
-       [x, y, w])
+    x = rand_tensor(rng, (4, 3))
+    layer = post_op_layer(3, channels=[None, None], fusion="jk_cat")
+    layer.weights[1].data[:] = rng.normal(size=(3, 3))
+    fd(lambda: sum_all(mul(layer(x, True, None), layer(x, True, None))),
+       [x, *layer.params()])
 
 
 def test_fd_batchnorm_training_and_eval():
     rng = np.random.default_rng(9)
     x = rand_tensor(rng, (7, 3))
-    gamma = Tensor(np.ones((1, 3)) + 0.3 * rng.normal(size=(1, 3)), requires_grad=True)
-    beta = rand_tensor(rng, (1, 3))
+    layer = post_op_layer(3, use_bn=True)
+    gamma, beta = layer.bn_gamma.data, layer.bn_beta.data
+    gamma[:] = 1.0 + 0.3 * rng.normal(size=(1, 3))
+    beta[:] = rng.normal(size=(1, 3))
     # a fixed random weighting keeps the loss sensitive to every input entry
     probe = Tensor(rng.normal(size=(7, 3)))
-    stats = np.stack([np.zeros(3), np.ones(3)])
-    fd(lambda: sum_all(mul(batchnorm(x, gamma, beta, stats, training=True), probe)),
-       [x, gamma, beta])
-    stats_eval = np.stack([rng.normal(size=3), 1.0 + rng.random(3)])
-    fd(lambda: sum_all(mul(batchnorm(x, gamma, beta, stats_eval, training=False), probe)),
-       [x, gamma, beta])
+    fd(lambda: sum_all(mul(layer(x, True, None), probe)), [x, *layer.params()])
+    # eval mode is the affine map of the running statistics, and records no graph
+    layer.bn_stats[:] = [rng.normal(size=3), 1.0 + rng.random(3)]
+    mean, var = layer.bn_stats
+    out = layer(x, False, None)
+    np.testing.assert_allclose(out.data, (x.data - mean) / np.sqrt(var + BN_EPS) * gamma + beta,
+                               rtol=1e-12)
+    assert not out.requires_grad and out._backward is None
 
 
 def test_fd_dropout_with_fixed_mask():
     rng = np.random.default_rng(10)
     x = rand_tensor(rng, (6, 5))
-    fd(lambda: sum_all(dropout(x, 0.4, np.random.default_rng(123), training=True)), [x])
+    layer = post_op_layer(5, dropout=0.4)
+    fd(lambda: sum_all(layer(x, True, np.random.default_rng(123))), [x, *layer.params()])
 
 
 def test_fd_cross_entropy():
@@ -572,20 +584,19 @@ def test_fd_cross_entropy():
 
 def test_batchnorm_training_normalizes_columns():
     rng = np.random.default_rng(12)
-    x = Tensor(5.0 + 3.0 * rng.normal(size=(200, 4)))
-    gamma = Tensor(np.ones((1, 4)))
-    beta = Tensor(np.zeros((1, 4)))
-    out = batchnorm(x, gamma, beta, np.stack([np.zeros(4), np.ones(4)]), training=True)
-    assert np.allclose(out.data.mean(axis=0), 0.0, atol=1e-9)
-    assert np.allclose(out.data.std(axis=0), 1.0, atol=1e-3)
+    x = 5.0 + 3.0 * rng.normal(size=(200, 4))
+    out, _, _ = batchnorm(x, np.ones((1, 4)), np.zeros((1, 4)),
+                          np.stack([np.zeros(4), np.ones(4)]), training=True)
+    assert np.allclose(out.mean(axis=0), 0.0, atol=1e-9)
+    assert np.allclose(out.std(axis=0), 1.0, atol=1e-3)
 
 
 def test_batchnorm_eval_uses_running_stats():
-    x = Tensor(np.ones((3, 2)))
     stats = np.array([[1.0, 0.0], [1.0, 4.0]])
-    out = batchnorm(x, Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2))), stats, training=False)
+    out, _, _ = batchnorm(np.ones((3, 2)), np.ones((1, 2)), np.zeros((1, 2)), stats,
+                          training=False)
     expect = np.stack([np.zeros(3), np.full(3, 1.0 / np.sqrt(4 + BN_EPS))], axis=1)
-    assert np.allclose(out.data, expect)
+    assert np.allclose(out, expect)
     assert np.array_equal(stats, [[1.0, 0.0], [1.0, 4.0]])  # eval leaves the statistics
 
 
@@ -593,13 +604,13 @@ def test_batchnorm_training_moves_the_given_statistics_in_place():
     """Training mode writes ``0.9 * stats + 0.1 * batch`` into the array it is given, here
     a view into a larger array as ``Model.state`` hands out, and nothing around it."""
     rng = np.random.default_rng(13)
-    x = Tensor(2.0 + rng.normal(size=(50, 3)))
+    x = 2.0 + rng.normal(size=(50, 3))
     state = np.zeros(10)
     stats = state[2:8].reshape(2, 3)
     stats[:] = [rng.normal(size=3), 1.0 + rng.random(3)]
-    batch = np.stack([x.data.mean(axis=0), x.data.var(axis=0)])
+    batch = np.stack([x.mean(axis=0), x.var(axis=0)])
     expect = 0.9 * stats + 0.1 * batch
-    batchnorm(x, Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 3))), stats, training=True)
+    batchnorm(x, np.ones((1, 3)), np.zeros((1, 3)), stats, training=True)
     assert BN_MOMENTUM == 0.1
     assert np.array_equal(state[2:8].reshape(2, 3), expect)
     assert not state[:2].any() and not state[8:].any()
@@ -610,26 +621,29 @@ def test_batchnorm_training_moves_the_given_statistics_in_place():
 
 def test_dropout_eval_is_identity():
     x = Tensor(np.arange(6.0).reshape(2, 3))
-    out = dropout(x, 0.5, np.random.default_rng(0), training=False)
-    assert out is x
+    out = post_op_layer(3, dropout=0.5)(x, False, np.random.default_rng(0))
+    assert np.array_equal(out.data, x.data)
 
 
 def test_dropout_preserves_expectation():
     x = Tensor(np.ones((1000, 100)))
-    out = dropout(x, 0.5, np.random.default_rng(42), training=True)
+    out = post_op_layer(100, dropout=0.5)(x, True, np.random.default_rng(42))
     assert abs(out.data.mean() - 1.0) < 0.01
 
 
 def test_dropout_deterministic_under_seed():
     x = Tensor(np.ones((50, 50)))
-    a = dropout(x, 0.3, np.random.default_rng(5), training=True)
-    b = dropout(x, 0.3, np.random.default_rng(5), training=True)
+    layer = post_op_layer(50, dropout=0.3)
+    a = layer(x, True, np.random.default_rng(5))
+    b = layer(x, True, np.random.default_rng(5))
     assert np.array_equal(a.data, b.data)
 
 
 def test_dropout_rate_validation():
-    with pytest.raises(ValueError):
-        dropout(Tensor(np.ones((2, 2))), 1.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="dropout"):
+        ModelConfig(dropout=1.0)
+    with pytest.raises(ValueError, match="rng"):
+        post_op_layer(2, dropout=0.5)(Tensor(np.ones((2, 2))), True, None)
 
 
 # -- adam ---------------------------------------------------------------------------
@@ -693,7 +707,8 @@ def test_finite_diff_rejects_nondeterministic_forward():
     # distinct power-of-two entries: any two different masks give different sums
     x = Tensor(2.0 ** -np.arange(16.0).reshape(4, 4), requires_grad=True)
     with pytest.raises(ValueError, match="deterministic"):
-        finite_diff_check(lambda: sum_all(dropout(x, 0.5, rng, training=True)), [x])
+        layer = post_op_layer(4, dropout=0.5)
+        finite_diff_check(lambda: sum_all(layer(x, True, rng)), [x])
 
 
 def test_glorot_bound():

@@ -299,6 +299,35 @@ def test_dsbm_chunked_draws_match_one_chunk(monkeypatch, profile):
     assert np.array_equal(chunked.features, one.features)
 
 
+def _dsbm_by_the_pairwise_rule(n, n_classes, p_in, p_out, profile, seed):
+    """The adjacency of generate_dsbm's draws, each pair (u, v) against p_in if the labels
+    match and p_out if not, with one n x n array of draws."""
+    rng = np.random.default_rng(seed)
+    sizes = [n // n_classes + (1 if c < n % n_classes else 0) for c in range(n_classes)]
+    labels = np.repeat(np.arange(n_classes), sizes)
+    draws = rng.random((n, n))
+    hit = np.where(labels[:, None] == labels[None, :], draws < p_in, draws < p_out)
+    np.fill_diagonal(hit, False)
+    if profile.signal == "out":
+        starts = np.cumsum([0] + sizes)
+        for start, size in zip(starts, sizes):
+            hit[:, start:start + int(np.floor(profile.no_in_fraction * size))] = False
+    return SparseMatrix.from_dense(hit.astype(float))
+
+
+@pytest.mark.parametrize("profile", [DirectionProfile(),
+                                     DirectionProfile(signal="out", no_in_fraction=0.4)])
+def test_dsbm_draws_each_pair_against_its_class_rule(monkeypatch, profile):
+    # class blocks of uneven sizes (47 = 12 + 12 + 12 + 11, 31 = 11 + 10 + 10), chunks of
+    # one row, a few rows, uneven row runs and the whole graph
+    for n, n_classes, seed in ((47, 4, 0), (31, 3, 1), (60, 5, 2), (9, 9, 3)):
+        want = _dsbm_by_the_pairwise_rule(n, n_classes, 0.4, 0.05, profile, seed)
+        for cells in (1, 2 * n, 7 * n + 3, 1 << 15):
+            monkeypatch.setattr(graphdata, "_DSBM_CHUNK_CELLS", cells)
+            got = generate_dsbm(n, n_classes, 0.4, 0.05, profile=profile, seed=seed)
+            assert got.adjacency == want, (n, cells)
+
+
 def test_dsbm_pure_intra_when_p_out_zero():
     g = generate_dsbm(50, 5, 0.3, 0.0, seed=1)
     rows = np.repeat(np.arange(g.n), np.diff(g.adjacency.row_offsets))

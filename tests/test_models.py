@@ -154,8 +154,8 @@ def test_agg_b_applies_the_pair_rule_of_the_models(monkeypatch, mode):
     x = Tensor(g.features)
     w = Tensor(glorot_uniform(g.d, 4, np.random.default_rng(5)))
     propagated = []
-    spmm = models.spmm
-    monkeypatch.setattr(models, "spmm", lambda s, h: propagated.append(s) or spmm(s, h))
+    spmm = models._spmm_data
+    monkeypatch.setattr(models, "_spmm_data", lambda s, h: propagated.append(s) or spmm(s, h))
     for alpha in (0.0, 0.5, 1.0, 2.0, 3.0):
         cfg = ModelConfig(alpha=alpha, beta=-1.0, gamma=-1.0, selfloop_mode=mode)
         (mat, coef), = prepare_direction_blocks(MatrixPlan(g.adjacency), cfg)
@@ -167,7 +167,7 @@ def test_agg_b_applies_the_pair_rule_of_the_models(monkeypatch, mode):
             assert coef == 1.0 and mat == want
             assert mat.values.tobytes() == want.values.tobytes()
         else:
-            assert got.tobytes() == propagate((mat, coef), matmul(x, w)).data.tobytes()
+            assert got.tobytes() == propagate((mat, coef), x.data @ w.data).tobytes()
 
 
 # -- layer composition --------------------------------------------------------------
@@ -201,8 +201,8 @@ def test_add_fusion_of_identical_blocks_triples_output(small_graph):
     layer.channels, layer.weights = [channel] * 3, [weight] * 3
     x = Tensor(small_graph.features)
     fused = layer(x, training=False, rng=None)
-    single = propagate(channel, matmul(x, weight))
-    assert np.allclose(fused.data, 3.0 * single.data + layer.bias.data, atol=1e-12)
+    single = propagate(channel, x.data @ weight.data)
+    assert np.allclose(fused.data, 3.0 * single + layer.bias.data, atol=1e-12)
 
 
 def test_single_layer_last_comb_is_layer_plus_head(small_graph):
@@ -409,7 +409,7 @@ def test_precomputed_layer_one_matches_sparse_path(small_graph, family):
 
 def test_precomputed_layer_one_runs_no_sparse_product(small_graph, monkeypatch):
     calls = []
-    spmm = models.spmm
+    spmm = models._spmm_data
 
     def counted(s, x):
         calls.append(s)
@@ -417,7 +417,7 @@ def test_precomputed_layer_one_runs_no_sparse_product(small_graph, monkeypatch):
 
     cfg = ModelConfig(alpha=0.5, beta=0.5, gamma=-1.0, layers=1, hidden=4)
     model = build_model(cfg, small_graph, seed=0)
-    monkeypatch.setattr(models, "spmm", counted)
+    monkeypatch.setattr(models, "_spmm_data", counted)
     model.forward(small_graph.features)
     assert calls == []
     model.forward(small_graph.features.copy())
@@ -615,3 +615,105 @@ def test_dropping_a_trained_scalenet_frees_its_matrices_without_the_cycle_collec
         assert [v() for v in values] == [None] * 3
     finally:
         gc.enable()
+
+
+# -- one graph node per layer ------------------------------------------------------------
+
+
+def overflowing_graph():
+    """A graph whose constant features -1e300 meet positive layer-1 weights of 1e10: the
+    first channel's product is -inf wherever its matrix row is not empty, and 0 elsewhere;
+    a ReLU or a maximum over a zero branch would hide it."""
+    g = generate_dsbm(30, 3, 0.3, 0.05, seed=2)
+    return DirectedGraph(g.adjacency, np.full((g.n, g.d), -1e300), g.labels, g.n_classes)
+
+
+@pytest.mark.parametrize("sparse_path", [False, True])
+@pytest.mark.parametrize("target, kw", [
+    ("relu", {"comb1": "add", "use_relu": True}),
+    ("jk_max branch", {"comb1": "jk_max", "use_relu": False}),
+    ("batchnorm", {"comb1": "add", "use_relu": True, "use_bn": True}),
+])
+def test_a_nonfinite_value_a_later_step_could_hide_is_caught(target, kw, sparse_path):
+    g = overflowing_graph()
+    cfg = ModelConfig(alpha=0.5, beta=0.5, gamma=-1.0, layers=1, hidden=4,
+                      selfloop_mode="add", **kw)
+    model = build_model(cfg, g, seed=0)
+    first, second = model.layers[0].weights
+    first.data[:] = 1e10
+    second.data[:] = 0.0
+    features = g.features.copy() if sparse_path else g.features
+    for training in (True, False):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite"):
+            model.forward(features, training=training, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("sparse_path", [False, True])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("fusion", models.COMB1_CHOICES)
+def test_gradient_check_of_every_layer_node_branch(small_graph, fusion, layers, sparse_path):
+    # every intra-layer fusion x batchnorm x dropout at depth 1..3, the cross-layer fusions
+    # in turn, on both layer-1 paths; dropout draws one fixed mask per forward. Random
+    # biases keep the rows that every channel leaves at exactly 0 off the ReLU's kink.
+    idx = np.arange(small_graph.n)
+    features = small_graph.features.copy() if sparse_path else small_graph.features
+    for i, (use_bn, drop) in enumerate([(False, 0.0), (True, 0.0), (False, 0.3), (True, 0.3)]):
+        comb2 = models.COMB2_CHOICES[(i + layers) % 3]
+        cfg = ModelConfig(alpha=1.0, beta=0.5, gamma=3.0, layers=layers, hidden=4,
+                          comb1=fusion, comb2=comb2, use_bn=use_bn, dropout=drop)
+        model = build_model(cfg, small_graph, seed=layers)
+        model.vector += 0.1 * np.random.default_rng([layers, i]).normal(size=model.vector.size)
+
+        def loss():
+            logits = model.forward(features, training=True, rng=np.random.default_rng(1))
+            return softmax_cross_entropy(logits, small_graph.labels, idx)
+
+        err = finite_diff_check(loss, model.params(), eps=1e-5, max_entries=6, seed=0)
+        assert err < 1e-4, (cfg, err)
+
+
+def graph_bytes(loss, model):
+    """Bytes of the arrays a recorded graph keeps beyond the model's own state, features and
+    layer-1 inputs: each node's data and gradient and every array its backward closure
+    reads, through tensors, tuples, lists and closures (not through other objects)."""
+    own = [model.state, model.features, *model.inputs]
+    seen, held, stack = set(), {}, [loss]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            base = obj if obj.base is None else obj.base
+            if not any(np.shares_memory(base, a) for a in own):
+                held[id(base)] = base.nbytes
+        elif isinstance(obj, Tensor):
+            stack += [obj.data, obj.grad, *obj._parents, obj._backward]
+        elif isinstance(obj, (list, tuple)):
+            stack += obj
+        elif getattr(obj, "__closure__", None):
+            for cell in obj.__closure__:
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # a name the closure never bound
+                    pass
+    return sum(held.values())
+
+
+def test_the_forward_graph_keeps_only_what_backward_reads():
+    # per layer its n x h output and a one-byte ReLU mask, then the n x C logits and the
+    # loss's rows: 0.70 MB here, 0.76 MB with the sparse path's own input. A node per op
+    # kept 4.6 MB (5.4 MB): every channel product (three n x h arrays per layer), their
+    # sums and the pre-activations
+    g = generate_dsbm(2000, 4, 0.004, 0.001, seed=3)
+    split = make_random_splits(g, seed=0)[0]
+    cfg = ModelConfig(alpha=0.5, beta=0.5, gamma=0.5, layers=2, hidden=16, lr=0.05)
+    model = build_model(cfg, g, seed=0)
+    for features in (g.features, g.features.copy()):  # both layer-1 paths
+        logits = model.forward(features, training=True, rng=None)
+        loss = softmax_cross_entropy(logits, g.labels, split.train)
+        assert graph_bytes(loss, model) < 3 * g.n * cfg.hidden * 8
+        backward(loss)
+        for p in model.params():
+            p.grad = None
